@@ -3,6 +3,7 @@ canonical serialization."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -105,6 +106,14 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.flat_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _finite(val) -> bool:
+    """True for NaN-free, infinity-free numbers inside the float range."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _check_number(raw, key, problems, *, integer=False, minimum=None,
                   strict=False):
     val = raw.get(key)
@@ -115,6 +124,9 @@ def _check_number(raw, key, problems, *, integer=False, minimum=None,
         return None
     if integer and not isinstance(val, int):
         problems.append(f"{key}: expected an integer, got {val!r}")
+        return None
+    if not _finite(val):
+        problems.append(f"{key}: must be a finite number, got {val!r}")
         return None
     if minimum is not None and (val <= minimum if strict else val < minimum):
         op = ">" if strict else ">="
@@ -204,8 +216,13 @@ def parse_config(text: str) -> ExperimentConfig:
     t_av = _check_number(raw, "t_av", problems, minimum=0, strict=True)
     if t_av is None:
         t_av = _DEFAULTS["t_av"]
-    if experiment in ("emit", "sweep_gamma") and t_av > t_max:
-        problems.append(f"t_av: averaging window {t_av} exceeds t_max {t_max}")
+    if experiment in ("emit", "sweep_gamma"):
+        step = t_max / (n_points - 1)
+        if t_av > t_max:
+            problems.append(f"t_av: averaging window {t_av} exceeds t_max {t_max}")
+        elif t_av + 1e-12 < step:
+            problems.append(f"t_av: averaging window {t_av} is shorter than "
+                            f"the time step {step}")
     tol = _check_number(raw, "tol", problems, minimum=0, strict=True)
     if tol is None:
         tol = _DEFAULTS["tol"]
@@ -216,8 +233,8 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append("gamma_values: required for experiment sweep_gamma")
         elif (not isinstance(gamma_values, list) or len(gamma_values) == 0
               or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and v >= 0 for v in gamma_values)):
-            problems.append("gamma_values: expected a non-empty list of reals >= 0, "
+                         and _finite(v) and v >= 0 for v in gamma_values)):
+            problems.append("gamma_values: expected a non-empty list of finite reals >= 0, "
                             f"got {gamma_values!r}")
             gamma_values = None
     elif gamma_values is not None and not isinstance(gamma_values, list):

@@ -108,35 +108,36 @@ def _w_matrix(w: complex, t1: float, t2: float, gamma: float) -> np.ndarray:
          1j * (t2 / 2) * (w ** 2 - 1)]], dtype=complex)
 
 
-def _pole_block(n_cells: int, t1: float, t2: float, gamma: float,
-                n: int) -> np.ndarray:
-    """Residue-sum evaluation of the periodic zero-energy resolvent block.
+def _pole_blocks(n_cells: int, t1: float, t2: float, gamma: float,
+                 offsets) -> np.ndarray:
+    """Residue-sum evaluation of the periodic zero-energy resolvent blocks.
 
-    Dispatches to the confluent double-pole expression when gamma == 2*t1
-    (the w = 0 and w_minus poles merge).  Callers must keep the geometry
-    non-degenerate: for even rings with t1 == t2 a pole sits on the unit
-    circle and the sum diverges.
+    Returns the 2x2 blocks G(k) for every integer cell offset k in `offsets`,
+    shape (len(offsets), 2, 2).  Dispatches to the confluent double-pole
+    expression when gamma == 2*t1 (the w = 0 and w_minus poles merge).
+    Callers must keep the geometry non-degenerate: for even rings with
+    t1 == t2 a pole sits on the unit circle and the sum diverges.
     """
     scale = max(t1, t2, gamma)
-    n = n % n_cells
+    k = np.asarray(offsets, dtype=int) % n_cells
     if abs(gamma - 2 * t1) < 1e-9 * scale:
         a = -t2 * (t1 + gamma / 2)
         w1 = -(t1 ** 2 + t2 ** 2) / (2 * t1 * t2)
-        out = w1 ** n / (1 - w1 ** n_cells) * _w_matrix(w1, t1, t2, gamma) / (a * w1 ** 2)
-        if n == 1:
-            out = out - _w_matrix(0.0, t1, t2, gamma) / (a * w1)
-        if n == 0:
-            wp0 = np.array([[1j * gamma, t1], [t1, 0.0]], dtype=complex)
-            out = out - wp0 / (a * w1) - _w_matrix(0.0, t1, t2, gamma) / (a * w1 ** 2)
+        coef = w1 ** k / (1 - w1 ** n_cells)
+        out = coef[:, None, None] * _w_matrix(w1, t1, t2, gamma) / (a * w1 ** 2)
+        w0 = _w_matrix(0.0, t1, t2, gamma)
+        wp0 = np.array([[1j * gamma, t1], [t1, 0.0]], dtype=complex)
+        out[k == 1] -= w0 / (a * w1)
+        out[k == 0] -= wp0 / (a * w1)
+        out[k == 0] -= w0 / (a * w1 ** 2)
         return out
     pd = PoleData.from_params(LatticeParams(max(n_cells, 2), t1, t2, gamma))
     w1, wm1, sq = pd.w_plus, pd.w_minus, pd.discriminant_root
     g1 = _w_matrix(w1, t1, t2, gamma) / (w1 * sq)
     gm1 = -_w_matrix(wm1, t1, t2, gamma) / (wm1 * sq)
-    out = (w1 ** n / (1 - w1 ** n_cells) * g1
-           + wm1 ** n / (1 - wm1 ** n_cells) * gm1)
-    if n == 0:
-        out = out - np.array([[1j, 1], [1, -1j]], dtype=complex) / (2 * t1 - gamma)
+    out = ((w1 ** k / (1 - w1 ** n_cells))[:, None, None] * g1
+           + (wm1 ** k / (1 - wm1 ** n_cells))[:, None, None] * gm1)
+    out[k == 0] -= np.array([[1j, 1], [1, -1j]], dtype=complex) / (2 * t1 - gamma)
     return out
 
 
@@ -151,6 +152,44 @@ def _degenerate_ring(n_cells: int, t1: float, t2: float) -> bool:
     return n_cells % 2 == 0 and abs(t1 - t2) < 1e-12 * max(t1, t2)
 
 
+def _regularized(ring: int, t1: float, t2: float, f):
+    """f(t1, t2), or on a degenerate ring its limit as a small hopping split
+    j*(1 -+ d) is extrapolated to zero."""
+    if _degenerate_ring(ring, t1, t2):
+        j = (t1 + t2) / 2
+        return _richardson(lambda d: f(j * (1 - d), j * (1 + d)))
+    return f(t1, t2)
+
+
+def _pbc_bb(params: LatticeParams, offsets) -> np.ndarray:
+    """Lossy-lossy ring resolvent entries at the given cell offsets."""
+    N = params.n_cells
+    return _regularized(N, params.t1, params.t2, lambda t1, t2: _pole_blocks(
+        N, t1, t2, params.gamma, offsets)[:, 1, 1])
+
+
+def _obc_bb(params: LatticeParams, targets, sources) -> np.ndarray:
+    """Lossy-lossy open-chain resolvent entries, rows = target cells and
+    columns = source cells (1-based).
+
+    The open chain of N cells is realized as an (N+1)-cell ring with cell 0
+    projected out: G_bb(m - n) - G(m)[1, :] G(0)^(-1) G(-n)[:, 1], i.e. a
+    Toeplitz gather minus one rank-2 correction.
+    """
+    ring = params.n_cells + 1
+    m = np.asarray(targets, dtype=int)
+    n = np.asarray(sources, dtype=int)
+
+    def bb(t1, t2):
+        G = _pole_blocks(ring, t1, t2, params.gamma, np.arange(ring))
+        left = G[m % ring, 1, :]
+        right = G[-n % ring, :, 1]
+        return (G[(m[:, None] - n[None, :]) % ring, 1, 1]
+                - left @ np.linalg.inv(G[0]) @ right.T)
+
+    return _regularized(ring, params.t1, params.t2, bb)
+
+
 def greens_pbc(params: LatticeParams, n: int) -> CellGreensBlock:
     """Zero-energy resolvent block (0 - H)^(-1) between cells offset by n on
     the N-cell ring, evaluated by residue sums (exact, N-independent cost).
@@ -163,16 +202,11 @@ def greens_pbc(params: LatticeParams, n: int) -> CellGreensBlock:
         raise ValueError("the zero-energy resolvent requires gamma > 0")
     N = params.n_cells
     if _degenerate_ring(N, params.t1, params.t2):
-        j = (params.t1 + params.t2) / 2
-
-        def f(d):
-            return _pole_block(N, j * (1 - d), j * (1 + d), params.gamma, n)[1, 1]
-
         block = np.full((2, 2), np.nan, dtype=complex)
-        block[1, 1] = _richardson(f)
+        block[1, 1] = _pbc_bb(params, [n])[0]
         return CellGreensBlock(n % N, block)
-    return CellGreensBlock(n % N, _pole_block(N, params.t1, params.t2,
-                                              params.gamma, n))
+    return CellGreensBlock(n % N, _pole_blocks(N, params.t1, params.t2,
+                                               params.gamma, [n])[0])
 
 
 def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
@@ -186,19 +220,7 @@ def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
         raise ValueError("the zero-energy resolvent requires gamma > 0")
     params.check_cell(m)
     params.check_cell(n)
-    ring = params.n_cells + 1
-
-    def bb(t1, t2):
-        def gp(k):
-            return _pole_block(ring, t1, t2, params.gamma, k % ring)
-
-        g0inv = np.linalg.inv(gp(0))
-        return (gp(m - n) - gp(m) @ g0inv @ gp(-n))[1, 1]
-
-    if _degenerate_ring(ring, params.t1, params.t2):
-        j = (params.t1 + params.t2) / 2
-        return complex(_richardson(lambda d: bb(j * (1 - d), j * (1 + d))))
-    return complex(bb(params.t1, params.t2))
+    return complex(_obc_bb(params, [m], [n])[0, 0])
 
 
 def _warn_weak_coupling(params: LatticeParams, layout: EmitterLayout) -> None:
@@ -214,28 +236,31 @@ def heff_numeric(params: LatticeParams, layout: EmitterLayout,
     """Effective coupling matrix from the dense lattice resolvent.
 
     entries[i, j] = g^2 * <b_{cell_i}| (energy - H_field)^(-1) |b_{cell_j}>.
-    When the dense system is singular at `energy` (even N with t1 == t2 at
-    zero energy) the minimum-norm least-squares resolvent is used; this is
-    the physically relevant branch (it matches the open-boundary couplings)
-    but can differ from the finite closed form by a uniform 1/N term.
+    All emitter columns are solved with one factorization.  Columns whose
+    relative residual exceeds 1e-8 (all of them if the solve raises) are
+    re-solved as the minimum-norm least-squares resolvent.  When the dense
+    system is singular at `energy` (even N with t1 == t2 at zero energy) this
+    is the physically relevant branch (it matches the open-boundary
+    couplings) but can differ from the finite closed form by a uniform 1/N
+    term.
     """
     layout.validate_against(params)
     _warn_weak_coupling(params, layout)
     H = build_bare_hamiltonian(params)
     A = energy * np.eye(H.shape[0], dtype=complex) - H
-    ne = layout.n_emitters
-    entries = np.empty((ne, ne), dtype=complex)
-    for j, cj in enumerate(layout.cells):
-        rhs = np.zeros(H.shape[0], dtype=complex)
-        rhs[params.b_index(cj)] = 1.0
-        try:
-            x = np.linalg.solve(A, rhs)
-            if np.linalg.norm(A @ x - rhs) > 1e-8 * np.linalg.norm(rhs):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            x = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        for i, ci in enumerate(layout.cells):
-            entries[i, j] = layout.g ** 2 * x[params.b_index(ci)]
+    rows = np.array([params.b_index(c) for c in layout.cells])
+    rhs = np.zeros((H.shape[0], layout.n_emitters), dtype=complex)
+    rhs[rows, np.arange(layout.n_emitters)] = 1.0
+    try:
+        x = np.linalg.solve(A, rhs)
+        resid = np.linalg.norm(A @ x - rhs, axis=0)
+        bad = ~(resid <= 1e-8 * np.linalg.norm(rhs, axis=0))
+    except np.linalg.LinAlgError:
+        x = np.empty_like(rhs)
+        bad = np.ones(layout.n_emitters, dtype=bool)
+    if bad.any():
+        x[:, bad] = np.linalg.lstsq(A, rhs[:, bad], rcond=None)[0]
+    entries = layout.g ** 2 * x[rows]
     return EffectiveCouplingMatrix(entries, "numeric", params.boundary,
                                    layout.cells, layout.g)
 
@@ -286,9 +311,9 @@ def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
     if form == "finite" and gamma == 0:
         raise ValueError("finite-size residue sums require gamma > 0")
 
-    ne = layout.n_emitters
-    entries = np.empty((ne, ne), dtype=complex)
     if form == "asymptotic":
+        ne = layout.n_emitters
+        entries = np.empty((ne, ne), dtype=complex)
         diag = -1j * g ** 2 / (gamma + 2 * j)
         for i, ci in enumerate(layout.cells):
             for k, ck in enumerate(layout.cells):
@@ -302,18 +327,12 @@ def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
                 entries[i, k] = val
         method = "closed_form_asymptotic"
     else:
+        cells = np.array(layout.cells)
         if params.periodic:
-            blocks = {}
-            for i, ci in enumerate(layout.cells):
-                for k, ck in enumerate(layout.cells):
-                    s = (ci - ck) % N
-                    if s not in blocks:
-                        blocks[s] = greens_pbc(params, s).bb
-                    entries[i, k] = g ** 2 * blocks[s]
+            bb = _pbc_bb(params, np.arange(N))[(cells[:, None] - cells[None, :]) % N]
         else:
-            for i, ci in enumerate(layout.cells):
-                for k, ck in enumerate(layout.cells):
-                    entries[i, k] = g ** 2 * greens_obc(params, ci, ck)
+            bb = _obc_bb(params, cells, cells)
+        entries = g ** 2 * bb
         method = "closed_form_finite"
     return EffectiveCouplingMatrix(entries, method, params.boundary,
                                    layout.cells, g)

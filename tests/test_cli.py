@@ -43,6 +43,32 @@ class TestCli:
         assert "gamma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # fail-fast: no partial output
 
+    @pytest.mark.parametrize("override", ["gamma=NaN", "g=Infinity",
+                                          "t_max=Infinity", "tol=NaN"])
+    @pytest.mark.parametrize("command", ["heff", "emit"])
+    def test_non_finite_number_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=1.0,
+                           boundary="open", g=0.05, cells=[3],
+                           output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", cfg, "--set", override]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["emit", "sweep-gamma"])
+    def test_t_av_shorter_than_time_step_exits_2(self, tmp_path, capsys,
+                                                 command):
+        # t_max/(n_points - 1) = 0.1: a shorter window averages one sample
+        extra = {"gamma_values": [1.0, 2.0]} if command == "sweep-gamma" else {}
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[3], t_max=4.0,
+                           n_points=41, output_dir=str(tmp_path / "out"),
+                           **extra)
+        assert main([command, "--config", cfg, "--set", "t_av=0.01"]) == 2
+        assert "t_av" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main([command, "--config", cfg, "--set", "t_av=0.1"]) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 

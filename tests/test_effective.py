@@ -103,6 +103,7 @@ class TestGreensPbc:
 class TestGreensObc:
     @pytest.mark.parametrize("n_cells,gamma", [
         (9, 1.0), (9, 2.0), (10, 1.0), (10, 2.0), (6, 0.7), (5, 0.5), (7, 4.0),
+        (40, 1.0), (40, 2.0),
     ])
     def test_vs_dense_oracle(self, n_cells, gamma):
         p = LatticeParams(n_cells, 1.0, 1.0, gamma, "open")
@@ -114,9 +115,10 @@ class TestGreensObc:
 
     def test_generalized_hoppings(self):
         p = LatticeParams(7, 1.3, 0.8, 1.1, "open")
-        for m, n in [(1, 1), (4, 2), (2, 6), (7, 1)]:
-            assert greens_obc(p, m, n) == pytest.approx(
-                dense_resolvent_bb(p, m, n), abs=1e-11)
+        for m in range(1, 8):
+            for n in range(1, 8):
+                assert greens_obc(p, m, n) == pytest.approx(
+                    dense_resolvent_bb(p, m, n), abs=1e-11)
 
     def test_frozen_value(self):
         p = LatticeParams(9, 1.0, 1.0, 1.0, "open")
@@ -140,6 +142,52 @@ class TestHeffNumeric:
             for j, cj in enumerate(lay.cells):
                 want = 0.01 * dense_resolvent_bb(p, ci, cj)
                 assert mat.entries[i, j] == pytest.approx(want, abs=1e-14)
+        # scattered, unsorted cells on both boundaries, both methods: row =
+        # target, column = source, so a transposed or mis-gathered index fails
+        # (the odd ring keeps the closed form off the degenerate branch)
+        lay = EmitterLayout([7, 2, 30, 15], 0.1)
+        for p in (LatticeParams(41, 1.0, 1.0, 1.0),
+                  LatticeParams(40, 1.0, 1.0, 1.0, "open")):
+            for mat in (heff_numeric(p, lay),
+                        heff_closed_form(p, lay, form="finite")):
+                for i, ci in enumerate(lay.cells):
+                    for j, cj in enumerate(lay.cells):
+                        want = 0.01 * dense_resolvent_bb(p, ci, cj)
+                        assert mat.entries[i, j] == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("fault", ["solve_raises", "one_column_corrupted"])
+    def test_lstsq_fallback(self, monkeypatch, fault):
+        # solve() passes every column on every tier-1 input, so inject its
+        # failure: a raise sends all columns to lstsq, a column that fails the
+        # residual check sends only that one
+        p = LatticeParams(9, 1.3, 0.8, 1.1, "open")
+        lay = EmitterLayout([7, 2, 5], 0.1)
+        A = -build_bare_hamiltonian(p)
+        rows = [p.b_index(c) for c in lay.cells]
+        want = np.empty((3, 3), dtype=complex)
+        for j, r in enumerate(rows):
+            rhs = np.zeros(A.shape[0], dtype=complex)
+            rhs[r] = 1.0
+            want[:, j] = 0.01 * np.linalg.lstsq(A, rhs, rcond=None)[0][rows]
+
+        real_solve, real_lstsq = np.linalg.solve, np.linalg.lstsq
+        bad_row = rows[1]
+        sent = set()
+
+        def solve(a, b):
+            if fault == "solve_raises":
+                raise np.linalg.LinAlgError("injected")
+            return real_solve(a, b) + (b[bad_row] != 0)  # shift column 2
+
+        def lstsq(a, b, rcond=None):
+            sent.update(np.flatnonzero(b.reshape(len(b), -1).any(axis=1)))
+            return real_lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        got = heff_numeric(p, lay).entries
+        assert sent == (set(rows) if fault == "solve_raises" else {bad_row})
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_uniform_model_entries_purely_imaginary(self):
         p = LatticeParams(9, 1.0, 1.0, 1.3)
