@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .dressed import _require_directional
 from .params import BOUNDARIES, EmitterLayout, LatticeParams
 
 EXPERIMENTS = ("spectrum", "emit", "transfer", "heff", "dressed", "sweep_gamma")
@@ -135,6 +136,32 @@ def _check_number(raw, key, problems, *, integer=False, minimum=None,
     return val
 
 
+def _model_problems(experiment, lattice, emitters, heff_method,
+                    dressed_kind) -> list:
+    """Model/experiment combinations that the computation always rejects."""
+    problems = []
+    if experiment == "dressed":
+        try:
+            _require_directional(lattice)
+        except ValueError as exc:
+            problems.append(f"dressed: {exc}")
+        if dressed_kind == "edge" and lattice.periodic:
+            problems.append("dressed_kind: the edge dressed state lives on "
+                            "the open chain")
+        if (dressed_kind == "bulk" and not lattice.periodic
+                and emitters.cells[0] == lattice.n_cells):
+            problems.append("cells: the last cell of the open chain hosts the "
+                            "edge dressed state, not a bulk one")
+    if experiment == "heff" and heff_method in ("finite", "asymptotic"):
+        if not lattice.uniform:
+            problems.append(f"heff_method: {heff_method} closed forms "
+                            "require t1 == t2")
+        if heff_method == "finite" and lattice.gamma == 0:
+            problems.append("heff_method: finite-size residue sums require "
+                            "gamma > 0")
+    return problems
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON config, reporting every problem at once."""
     try:
@@ -248,6 +275,10 @@ def parse_config(text: str) -> ExperimentConfig:
     dressed_kind = raw.get("dressed_kind", _DEFAULTS["dressed_kind"])
     if dressed_kind not in ("bulk", "edge"):
         problems.append(f"dressed_kind: must be 'bulk' or 'edge', got {dressed_kind!r}")
+
+    if lattice is not None and emitters is not None:
+        problems += _model_problems(experiment, lattice, emitters,
+                                    heff_method, dressed_kind)
 
     output_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
     if not isinstance(output_dir, str) or not output_dir:

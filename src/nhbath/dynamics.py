@@ -7,40 +7,43 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .params import ORIGINAL, SingleExcitationState
-from .lattice import transform_picture
+from .params import MAPPED, ORIGINAL, PICTURES, SingleExcitationState
+from .lattice import rotate_cells
 
 
 @dataclass
 class Trajectory:
     """Sampled solution of i d(psi)/dt = H psi for a non-Hermitian H.
 
-    `states[k]` is the state at `times[k]`; `norm_history` tracks the decaying
-    norm (the lost weight is the emitted/absorbed population).
+    `amplitudes[k]` is the state vector at `times[k]`, shape
+    (n_steps, n_emitters + 2N) in the original picture, emitters first;
+    `norm_history` tracks the decaying norm (the lost weight is the
+    emitted/absorbed population).
     """
 
     times: np.ndarray
-    states: list
-    norm_history: np.ndarray
+    amplitudes: np.ndarray
+    n_emitters: int
 
     @property
     def n_steps(self) -> int:
         return self.times.size
 
-    def amplitudes(self) -> np.ndarray:
-        """All state vectors stacked into a (n_steps, dim) array."""
-        return np.array([s.vector() for s in self.states])
+    @property
+    def norm_history(self) -> np.ndarray:
+        return np.linalg.norm(self.amplitudes, axis=1)
 
 
 def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
            times: Sequence[float], tol: float = 1e-9) -> Trajectory:
     """Propagate `initial` under `hamiltonian` and sample at `times`.
 
-    Times must start at 0 and increase.  On a uniform grid a single cached
-    matrix exponential is reused per step; the accumulated state at the final
-    time is checked against a direct exponential and the whole trajectory is
-    recomputed step-by-step from exact exponentials if the drift exceeds
-    `tol`.  Non-uniform grids always use direct exponentials.
+    Times must start at 0 and increase; the state must be in the original
+    picture.  On a uniform grid a single cached matrix exponential is reused
+    per step; the accumulated state at the final time is checked against a
+    direct exponential and the whole trajectory is recomputed step-by-step
+    from exact exponentials if the drift exceeds `tol`.  Non-uniform grids
+    always use direct exponentials.
     """
     H = np.asarray(hamiltonian, dtype=complex)
     times = np.asarray(times, dtype=float)
@@ -53,48 +56,41 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
         raise ValueError("times must be strictly increasing")
     if not np.all(np.isfinite(H)):
         raise ValueError("hamiltonian contains non-finite entries")
+    if initial.picture != ORIGINAL:
+        raise ValueError("evolve takes states in the original picture")
     psi0 = initial.vector()
     if H.shape[0] != psi0.size:
         raise ValueError("state dimension does not match the hamiltonian")
 
     uniform = np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)
-    vectors = [psi0.copy()]
+    amps = np.empty((times.size, psi0.size), dtype=complex)
+    amps[0] = psi0
     if uniform:
         U = expm(-1j * H * dts[0])
-        psi = psi0.copy()
-        for _ in range(times.size - 1):
-            psi = U @ psi
-            vectors.append(psi.copy())
+        for k in range(1, times.size):
+            amps[k] = U @ amps[k - 1]
         ref = expm(-1j * H * times[-1]) @ psi0
-        if np.linalg.norm(vectors[-1] - ref) > tol * max(1.0, np.linalg.norm(ref)):
+        if np.linalg.norm(amps[-1] - ref) > tol * max(1.0, np.linalg.norm(ref)):
             uniform = False  # stepping drifted; fall back to direct sampling
-            vectors = [psi0.copy()]
     if not uniform:
-        for t in times[1:]:
-            vectors.append(expm(-1j * H * t) @ psi0)
-
-    states = [initial.copy()]
-    for v in vectors[1:]:
-        states.append(SingleExcitationState.from_vector(
-            v, initial.n_emitters, initial.picture))
-    norms = np.array([np.linalg.norm(v) for v in vectors])
-    return Trajectory(times.copy(), states, norms)
+        for k in range(1, times.size):
+            amps[k] = expm(-1j * H * times[k]) @ psi0
+    return Trajectory(times.copy(), amps, initial.n_emitters)
 
 
 def emitter_populations(traj: Trajectory) -> np.ndarray:
     """|amplitude|^2 of every emitter at every sample, shape (n_steps, n_e)."""
-    return np.array([np.abs(s.emitter_amps) ** 2 for s in traj.states])
+    return np.abs(traj.amplitudes[:, :traj.n_emitters]) ** 2
 
 
 def photon_density(traj: Trajectory, picture: str = ORIGINAL) -> np.ndarray:
     """Photon mode populations, shape (n_steps, 2N), in the chosen picture."""
-    out = np.empty((traj.n_steps, traj.states[0].photon_amps.size))
-    for k, s in enumerate(traj.states):
-        if s.picture != picture:
-            direction = "to_mapped" if picture != ORIGINAL else "to_original"
-            s = transform_picture(s, direction)
-        out[k] = np.abs(s.photon_amps) ** 2
-    return out
+    if picture not in PICTURES:
+        raise ValueError(f"picture must be one of {PICTURES}, got {picture!r}")
+    photons = traj.amplitudes[:, traj.n_emitters:]
+    if picture == MAPPED:
+        photons = rotate_cells(photons)
+    return np.abs(photons) ** 2
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,23 @@ from .params import (MAPPED, ORIGINAL, EmitterLayout, LatticeParams,
                      SingleExcitationState)
 
 
+def _assemble(params: LatticeParams, onsite, hop) -> np.ndarray:
+    """Photon Hamiltonian with the 2x2 block `onsite` on every cell, `hop`
+    from each cell to the next (row cell k, column cell k+1) and its adjoint
+    back; the seam link N -> 1 only on the ring."""
+    n = params.n_cells
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    cells = H.reshape(n, 2, n, 2)  # cells[k, :, m, :] is the (k, m) block
+    k = np.arange(n)
+    hop = np.asarray(hop, dtype=complex)
+    cells[k, :, k, :] += onsite
+    k = k if params.periodic else k[:-1]
+    m = (k + 1) % n
+    cells[k, :, m, :] += hop  # two passes: at N = 2 the ring's links
+    cells[m, :, k, :] += hop.conj().T  # k -> m and m -> k hit the same blocks
+    return H
+
+
 def build_bare_hamiltonian(params: LatticeParams) -> np.ndarray:
     """Photonic Hamiltonian in the original (a, b) basis.
 
@@ -20,31 +37,9 @@ def build_bare_hamiltonian(params: LatticeParams) -> np.ndarray:
     b_n -> b_{n+1}, Hermitian within each pair).  Every b cavity carries the
     anti-Hermitian loss -i*gamma.
     """
-    n, t1, t2, gamma = params.n_cells, params.t1, params.t2, params.gamma
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-
-    def a(k):
-        return 2 * (k % n)
-
-    def b(k):
-        return 2 * (k % n) + 1
-
-    for k in range(n):
-        H[a(k), b(k)] += t1
-        H[b(k), a(k)] += t1
-        H[b(k), b(k)] += -1j * gamma
-        if k == n - 1 and not params.periodic:
-            continue
-        m = (k + 1) % n
-        H[a(k), b(m)] += t2 / 2
-        H[b(m), a(k)] += t2 / 2
-        H[b(k), a(m)] += t2 / 2
-        H[a(m), b(k)] += t2 / 2
-        H[a(k), a(m)] += -1j * t2 / 2
-        H[a(m), a(k)] += 1j * t2 / 2
-        H[b(k), b(m)] += 1j * t2 / 2
-        H[b(m), b(k)] += -1j * t2 / 2
-    return H
+    t1, t2, gamma = params.t1, params.t2, params.gamma
+    return _assemble(params, [[0.0, t1], [t1, -1j * gamma]],
+                     [[-1j * t2 / 2, t2 / 2], [t2 / 2, 1j * t2 / 2]])
 
 
 def build_mapped_hamiltonian(params: LatticeParams) -> np.ndarray:
@@ -56,31 +51,24 @@ def build_mapped_hamiltonian(params: LatticeParams) -> np.ndarray:
     Equals the similarity transform of `build_bare_hamiltonian` by
     `picture_unitary`.
     """
-    n, t1, t2, gamma = params.n_cells, params.t1, params.t2, params.gamma
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-
-    def al(k):
-        return 2 * (k % n)
-
-    def be(k):
-        return 2 * (k % n) + 1
-
-    for k in range(n):
-        H[al(k), be(k)] += t1 + gamma / 2
-        H[be(k), al(k)] += t1 - gamma / 2
-        H[al(k), al(k)] += -1j * gamma / 2
-        H[be(k), be(k)] += -1j * gamma / 2
-        if k == n - 1 and not params.periodic:
-            continue
-        m = (k + 1) % n
-        H[al(m), be(k)] += t2
-        H[be(k), al(m)] += t2
-    return H
+    t1, t2, gamma = params.t1, params.t2, params.gamma
+    return _assemble(params, [[-1j * gamma / 2, t1 + gamma / 2],
+                              [t1 - gamma / 2, -1j * gamma / 2]],
+                     [[0.0, 0.0], [t2, 0.0]])
 
 
 def intracell_unitary() -> np.ndarray:
     """2x2 rotation from (a, b) to (alpha, beta) amplitudes within one cell."""
     return np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+
+def rotate_cells(amps: np.ndarray, to_mapped: bool = True) -> np.ndarray:
+    """Apply `intracell_unitary` (or its inverse) to every cell pair of the
+    last axis of `amps`, photon amplitudes of one or many states."""
+    amps = np.asarray(amps, dtype=complex)
+    uc = intracell_unitary()  # symmetric, so row vectors rotate by uc itself
+    pairs = amps.reshape(*amps.shape[:-1], -1, 2)
+    return (pairs @ (uc if to_mapped else uc.conj())).reshape(amps.shape)
 
 
 def picture_unitary(n_cells: int, n_emitters: int = 0) -> np.ndarray:
@@ -89,12 +77,11 @@ def picture_unitary(n_cells: int, n_emitters: int = 0) -> np.ndarray:
     Acts as the identity on the first `n_emitters` components and as
     `intracell_unitary` on each cell block.
     """
-    dim = n_emitters + 2 * n_cells
-    U = np.eye(dim, dtype=complex)
-    uc = intracell_unitary()
-    for k in range(n_cells):
-        i = n_emitters + 2 * k
-        U[i:i + 2, i:i + 2] = uc
+    cells = np.zeros((n_cells, 2, n_cells, 2), dtype=complex)
+    k = np.arange(n_cells)
+    cells[k, :, k, :] = intracell_unitary()
+    U = np.eye(n_emitters + 2 * n_cells, dtype=complex)
+    U[n_emitters:, n_emitters:] = cells.reshape(2 * n_cells, 2 * n_cells)
     return U
 
 
@@ -116,9 +103,8 @@ def transform_picture(obj: Union[SingleExcitationState, np.ndarray],
         expect = ORIGINAL if to_mapped else MAPPED
         if obj.picture != expect:
             raise ValueError(f"state is already in the {obj.picture} picture")
-        U = picture_unitary(obj.n_cells)
-        amps = U @ obj.photon_amps if to_mapped else U.conj().T @ obj.photon_amps
-        return SingleExcitationState(obj.emitter_amps.copy(), amps,
+        return SingleExcitationState(obj.emitter_amps.copy(),
+                                     rotate_cells(obj.photon_amps, to_mapped),
                                      MAPPED if to_mapped else ORIGINAL)
 
     M = np.asarray(obj, dtype=complex)
@@ -148,20 +134,17 @@ def build_total_hamiltonian(params: LatticeParams, layout: EmitterLayout,
     ne = layout.n_emitters
     dim = ne + params.n_modes
     H = np.zeros((dim, dim), dtype=complex)
+    em = np.arange(ne)
+    b = ne + 2 * (np.array(layout.cells) - 1) + 1
     if picture == ORIGINAL:
         H[ne:, ne:] = build_bare_hamiltonian(params)
-        for i, cell in enumerate(layout.cells):
-            bi = ne + params.b_index(cell)
-            H[i, bi] = layout.g
-            H[bi, i] = layout.g
+        H[em, b] = layout.g
+        H[b, em] = layout.g
     else:
         H[ne:, ne:] = build_mapped_hamiltonian(params)
         gr = layout.g / np.sqrt(2.0)
-        for i, cell in enumerate(layout.cells):
-            ai = ne + params.a_index(cell)
-            bi = ne + params.b_index(cell)
-            H[i, bi] = gr
-            H[bi, i] = gr
-            H[i, ai] = -1j * gr
-            H[ai, i] = 1j * gr
+        H[em, b] = gr
+        H[b, em] = gr
+        H[em, b - 1] = -1j * gr
+        H[b - 1, em] = 1j * gr
     return H

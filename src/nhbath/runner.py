@@ -20,16 +20,18 @@ from .params import EmitterLayout, LatticeParams, excited_emitter_state
 from .spectral import bloch_spectrum, obc_spectrum
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float (<= 17 significant digits)."""
-    return repr(float(x))
+def _csv(header, columns) -> str:
+    """CSV text from equal-length columns.  A list is a column of strings,
+    written as given; anything else is read as floats and written in the
+    shortest round-trip decimal form (<= 17 significant digits)."""
+    cols = [c if isinstance(c, list)
+            else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _localization_csv(rows) -> str:
+    """(gamma, P_loc, P_L, P_R) rows as CSV."""
+    return _csv(("gamma", "P_loc", "P_L", "P_R"), np.array(rows, dtype=float).T)
 
 
 def max_workers() -> int:
@@ -51,14 +53,14 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
 def _spectrum_files(cfg: ExperimentConfig) -> dict:
     if cfg.lattice.periodic:
         res = bloch_spectrum(cfg.lattice)
-        rows = [(ev.real, ev.imag, res.boundary, q)
-                for ev, q in zip(res.eigenvalues, res.q_values)]
+        evs, label = res.eigenvalues, res.q_values
     else:
         res = obc_spectrum(cfg.lattice)
-        order = np.argsort(res.eigenvalues.real, kind="stable")
-        rows = [(res.eigenvalues[i].real, res.eigenvalues[i].imag,
-                 res.boundary, float(k)) for k, i in enumerate(order)]
-    return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"), rows)}
+        evs = res.eigenvalues[np.argsort(res.eigenvalues.real, kind="stable")]
+        label = np.arange(evs.size)
+    return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"),
+                                 (evs.real, evs.imag, [res.boundary] * evs.size,
+                                  label))}
 
 
 def _trajectory_files(cfg: ExperimentConfig, excited: int) -> dict:
@@ -67,20 +69,20 @@ def _trajectory_files(cfg: ExperimentConfig, excited: int) -> dict:
     traj = evolve(H, psi0, _time_grid(cfg), tol=cfg.tol)
     pops = emitter_populations(traj)
     dens = photon_density(traj)
-    pop_rows = [(t, i + 1, pops[k, i])
-                for k, t in enumerate(traj.times)
-                for i in range(pops.shape[1])]
-    dens_rows = [(t, s, dens[k, s])
-                 for k, t in enumerate(traj.times)
-                 for s in range(dens.shape[1])]
+
+    def samples(values):  # (t, 0-based column, value) rows, time-major
+        n_steps, width = values.shape
+        return (np.repeat(traj.times, width), np.tile(np.arange(width), n_steps),
+                values.ravel())
+
+    t, i, p = samples(pops)
     files = {
-        "populations.csv": _csv(("t", "emitter_index", "p"), pop_rows),
-        "density.csv": _csv(("t", "site_index", "density"), dens_rows),
+        "populations.csv": _csv(("t", "emitter_index", "p"), (t, i + 1, p)),
+        "density.csv": _csv(("t", "site_index", "density"), samples(dens)),
     }
     if cfg.experiment == "emit":
         rep = localization_report(traj, cfg.emitters.cells[0], cfg.t_av)
-        files["localization.csv"] = _csv(
-            ("gamma", "P_loc", "P_L", "P_R"),
+        files["localization.csv"] = _localization_csv(
             [(cfg.lattice.gamma, rep.p_local, rep.p_left, rep.p_right)])
     return files
 
@@ -90,20 +92,21 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
         mat = heff_numeric(cfg.lattice, cfg.emitters)
     else:
         mat = heff_closed_form(cfg.lattice, cfg.emitters, form=cfg.heff_method)
+    entries = mat.entries.ravel(order="C")
     payload = {
         "method": mat.method,
         "boundary": mat.boundary,
         "params": {"N": cfg.lattice.n_cells, "t1": cfg.lattice.t1,
                    "t2": cfg.lattice.t2, "gamma": cfg.lattice.gamma,
                    "g": mat.g, "cells": list(mat.cells)},
-        "entries": [[v.real, v.imag] for v in mat.entries.ravel(order="C")],
+        "entries": np.stack([entries.real, entries.imag], axis=1).tolist(),
     }
-    rows = [(str(cm), str(cn), mat.entries[i, k].real, mat.entries[i, k].imag)
-            for i, cm in enumerate(mat.cells)
-            for k, cn in enumerate(mat.cells)]
+    labels = [str(c) for c in mat.cells]
     return {
         "heff.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        "heff.csv": _csv(("m", "n", "re", "im"), rows),
+        "heff.csv": _csv(("m", "n", "re", "im"),
+                         ([m for m in labels for _ in labels],
+                          labels * len(labels), entries.real, entries.imag)),
     }
 
 
@@ -113,15 +116,13 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
                                 cfg.emitters.g)
     else:
         ds = edge_dressed_state(cfg.lattice, cfg.emitters.g)
-    amps = ds.state.photon_amps
-    rows = [("emitter", 1.0, 0.0, 1.0)]
-    for cell in range(1, cfg.lattice.n_cells + 1):
-        for label, idx in (("alpha", cfg.lattice.a_index(cell)),
-                           ("beta", cfg.lattice.b_index(cell))):
-            amp = amps[idx]
-            rows.append((f"{label}{cell}", amp.real, amp.imag, abs(amp)))
-    return {"dressed.csv": _csv(("site_label", "re_amp", "im_amp", "modulus"),
-                                rows)}
+    amps = ds.state.photon_amps  # alpha1, beta1, alpha2, ... (mapped picture)
+    labels = [f"{label}{cell}" for cell in range(1, cfg.lattice.n_cells + 1)
+              for label in ("alpha", "beta")]
+    return {"dressed.csv": _csv(
+        ("site_label", "re_amp", "im_amp", "modulus"),
+        (["emitter", *labels], np.r_[1.0, amps.real], np.r_[0.0, amps.imag],
+         np.r_[1.0, np.abs(amps)]))}
 
 
 def _sweep_files(cfg: ExperimentConfig) -> dict:
@@ -138,7 +139,7 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
         rows = list(pool.map(one, cfg.gamma_values))
-    return {"sweep.csv": _csv(("gamma", "P_loc", "P_L", "P_R"), rows)}
+    return {"sweep.csv": _localization_csv(rows)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -12,31 +12,38 @@ from .params import LatticeParams
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """2x2 momentum-space Hamiltonian at quasimomentum q."""
+    """2x2 momentum-space Hamiltonian at quasimomentum q, or a stack of them,
+    shape q.shape + (2, 2), for an array of q."""
 
-    q: float
+    q: Union[float, np.ndarray]
     matrix: np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.matrix)
 
-    def determinant(self, e0: complex = 0.0) -> complex:
+    def determinant(self, e0: complex = 0.0):
         """det(matrix - e0), the quantity whose phase winds around loops."""
         m = self.matrix
-        return complex((m[0, 0] - e0) * (m[1, 1] - e0) - m[0, 1] * m[1, 0])
+        d = (m[..., 0, 0] - e0) * (m[..., 1, 1] - e0) - m[..., 0, 1] * m[..., 1, 0]
+        return complex(d) if d.ndim == 0 else d
 
 
-def bloch_matrix(params: LatticeParams, q: float) -> BlochMatrix:
-    """Momentum-space Hamiltonian of the translation-invariant array.
+def bloch_matrix(params: LatticeParams, q) -> BlochMatrix:
+    """Momentum-space Hamiltonian of the translation-invariant array, at a
+    scalar q or at every entry of an array of q.
 
     Off-diagonal t1 + t2 cos q; diagonal -+ t2 sin q, with the loss -i*gamma
     on the lossy sublattice.
     """
+    q = np.asarray(q, dtype=float)
     off = params.t1 + params.t2 * np.cos(q)
-    m = np.array([[-params.t2 * np.sin(q), off],
-                  [off, params.t2 * np.sin(q) - 1j * params.gamma]],
-                 dtype=complex)
-    return BlochMatrix(float(q), m)
+    s = params.t2 * np.sin(q)
+    m = np.empty(q.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = -s
+    m[..., 0, 1] = off
+    m[..., 1, 0] = off
+    m[..., 1, 1] = s - 1j * params.gamma
+    return BlochMatrix(q if q.ndim else float(q), m)
 
 
 @dataclass
@@ -55,17 +62,16 @@ class SpectrumResult:
     defectivity: float
     q_values: Optional[np.ndarray] = None
     right_vectors: Optional[np.ndarray] = None
-    left_vectors: Optional[np.ndarray] = None
 
     @property
     def n_levels(self) -> int:
         return self.eigenvalues.size
 
 
-def _eig_defectivity(matrix: np.ndarray) -> float:
-    _, vecs = np.linalg.eig(matrix)
-    s = np.linalg.svd(vecs, compute_uv=False)
-    return float(s[-1] / s[0])
+def _defectivity(vectors: np.ndarray) -> float:
+    """Worst reciprocal condition number over a stack of eigenvector matrices."""
+    s = np.linalg.svd(vectors, compute_uv=False)
+    return float(np.min(s[..., -1] / s[..., 0]))
 
 
 def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
@@ -73,40 +79,20 @@ def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
     if not params.periodic:
         raise ValueError("bloch_spectrum requires periodic boundary conditions")
     n = params.n_cells
-    evs = np.empty(2 * n, dtype=complex)
-    qs = np.empty(2 * n, dtype=float)
-    defect = 1.0
-    for k in range(n):
-        q = 2 * np.pi * k / n
-        bm = bloch_matrix(params, q)
-        evs[2 * k:2 * k + 2] = bm.eigenvalues()
-        qs[2 * k:2 * k + 2] = q
-        defect = min(defect, _eig_defectivity(bm.matrix))
-    return SpectrumResult(evs, params.boundary, defect, q_values=qs)
+    bm = bloch_matrix(params, 2 * np.pi * np.arange(n) / n)
+    # eigenvalues from eigvals, vectors from eig: LAPACK takes another path
+    # when it also computes vectors, and spectrum.csv writes the eigenvalues
+    _, vecs = np.linalg.eig(bm.matrix)
+    return SpectrumResult(bm.eigenvalues().ravel(), params.boundary,
+                          _defectivity(vecs), q_values=np.repeat(bm.q, 2))
 
 
 def dense_spectrum(params: LatticeParams) -> SpectrumResult:
-    """Eigen-decomposition of the dense real-space Hamiltonian.
-
-    Left eigenvectors are obtained from the adjoint and reordered to pair
-    with the right ones (columns match eigenvalue by eigenvalue).
-    """
-    H = build_bare_hamiltonian(params)
-    evs, right = np.linalg.eig(H)
-    evs_l, left = np.linalg.eig(H.conj().T)
-    # pair each left eigenvalue with the closest remaining right one
-    order = np.full(evs.size, -1)
-    used = np.zeros(evs.size, dtype=bool)
-    for i, lam in enumerate(np.conj(evs_l)):
-        d = np.abs(evs - lam)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        order[j] = i
-        used[j] = True
-    left = left[:, order]
-    s = np.linalg.svd(right, compute_uv=False)
-    return SpectrumResult(evs, params.boundary, float(s[-1] / s[0]),
-                          right_vectors=right, left_vectors=left)
+    """Eigen-decomposition of the dense real-space Hamiltonian; column k of
+    `right_vectors` is the right eigenvector of eigenvalue k."""
+    evs, right = np.linalg.eig(build_bare_hamiltonian(params))
+    return SpectrumResult(evs, params.boundary, _defectivity(right),
+                          right_vectors=right)
 
 
 def obc_spectrum(params: LatticeParams) -> SpectrumResult:
@@ -126,11 +112,10 @@ def band_centroid(params: LatticeParams, band: str = "upper",
     if band not in ("upper", "lower"):
         raise ValueError("band must be 'upper' or 'lower'")
     pick = -1 if band == "upper" else 0
-    acc = 0.0 + 0.0j
-    for k in range(n_points):
-        ev = bloch_matrix(params, 2 * np.pi * k / n_points).eigenvalues()
-        acc += ev[np.argsort(ev.real)][pick]
-    return acc / n_points
+    qs = 2 * np.pi * np.arange(n_points) / n_points
+    ev = bloch_matrix(params, qs).eigenvalues()
+    branch = ev[np.arange(n_points), np.argsort(ev.real, axis=1)[:, pick]]
+    return complex(branch.mean())
 
 
 def point_gap_winding(params: LatticeParams, e0: complex,
@@ -145,7 +130,7 @@ def point_gap_winding(params: LatticeParams, e0: complex,
     m = int(n_points)
     for _ in range(3):
         qs = np.arange(m + 1) * (2 * np.pi / m)
-        dets = np.array([bloch_matrix(params, q).determinant(e0) for q in qs])
+        dets = bloch_matrix(params, qs).determinant(e0)
         scale = (params.t1 + params.t2 + params.gamma + abs(e0)) ** 2
         if np.min(np.abs(dets)) < 1e-12 * scale:
             raise ValueError("reference energy lies on the spectral curve")

@@ -69,6 +69,29 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert main([command, "--config", cfg, "--set", "t_av=0.1"]) == 0
 
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("dressed", ["gamma=1.0"], "dressed"),
+        ("dressed", ["t2=1.5"], "dressed"),
+        ("dressed", ["dressed_kind=\"edge\"", "boundary=\"periodic\""],
+         "dressed_kind"),
+        ("dressed", ["cells=[8]"], "cells"),
+        ("heff", ["heff_method=\"finite\"", "t2=1.5"], "heff_method"),
+        ("heff", ["heff_method=\"asymptotic\"", "t2=1.5"], "heff_method"),
+        ("heff", ["heff_method=\"finite\"", "gamma=0.0"], "heff_method"),
+    ])
+    def test_model_the_computation_rejects_exits_2(self, tmp_path, capsys,
+                                                    command, overrides, key):
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[3],
+                           output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", cfg]) == 0
+        args = [command, "--config", cfg, "--output-dir", str(tmp_path / "bad")]
+        for o in overrides:
+            args += ["--set", o]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
                     emitter_populations, evolve, excited_emitter_state,
-                    fit_decay_rate, localization_report, photon_density)
+                    fit_decay_rate, localization_report, photon_density,
+                    picture_unitary, transform_picture)
 
 
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):
@@ -19,7 +22,7 @@ class TestEvolve:
         psi0 = excited_emitter_state(LatticeParams(8, 1.0, 1.0, 1.0, "open"), lay)
         traj = evolve(H, psi0, np.linspace(0, 5, 11))
         assert traj.n_steps == 11
-        np.testing.assert_array_equal(traj.states[0].vector(), psi0.vector())
+        np.testing.assert_array_equal(traj.amplitudes[0], psi0.vector())
         assert traj.norm_history[0] == pytest.approx(1.0)
 
     def test_lossless_norm_conserved(self):
@@ -43,8 +46,29 @@ class TestEvolve:
         tu = evolve(H, psi0, uniform)
         tj = evolve(H, psi0, jitter)
         for k in (1, 2, 5, 6):
-            np.testing.assert_allclose(tu.states[k].vector(),
-                                       tj.states[k].vector(), atol=1e-9)
+            np.testing.assert_allclose(tu.amplitudes[k],
+                                       tj.amplitudes[k], atol=1e-9)
+
+    @pytest.mark.parametrize("tol, n_expm", [(1e-9, 2), (0.0, 8)])
+    def test_every_sample_matches_direct_exponential(self, monkeypatch, tol,
+                                                     n_expm):
+        # tol = 0 rejects any stepping drift: one expm per sample after the
+        # step and the drift reference, 2 + 6 calls on this 7-point grid
+        p, lay, H = _setup(gamma=1.3)
+        psi0 = excited_emitter_state(p, lay)
+        times = np.linspace(0, 6, 7)
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(nhbath.dynamics, "expm", spy)
+        traj = evolve(H, psi0, times, tol=tol)
+        assert len(calls) == n_expm
+        for t, amps in zip(times, traj.amplitudes):
+            np.testing.assert_allclose(amps, expm(-1j * H * t) @ psi0.vector(),
+                                       rtol=0, atol=1e-12)
 
     def test_bad_inputs(self):
         p, lay, H = _setup()
@@ -61,6 +85,8 @@ class TestEvolve:
             evolve(bad, psi0, [0.0, 1.0])
         with pytest.raises(ValueError):
             evolve(H[:-2, :-2], psi0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="original picture"):
+            evolve(H, transform_picture(psi0, "to_mapped"), [0.0, 1.0])
 
 
 class TestObservables:
@@ -82,6 +108,20 @@ class TestObservables:
         np.testing.assert_allclose(orig.sum(axis=1), mapped.sum(axis=1), atol=1e-10)
         # ... but the site-resolved profiles differ
         assert np.max(np.abs(orig - mapped)) > 1e-4
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_mapped_density_matches_picture_unitary(self, boundary):
+        p = LatticeParams(6, 1.0, 1.0, 1.4, boundary)
+        lay = EmitterLayout([2, 5], 0.2)
+        H = build_total_hamiltonian(p, lay)
+        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 4, 9))
+        U = picture_unitary(p.n_cells, lay.n_emitters)
+        want = np.array([np.abs(U @ v)[lay.n_emitters:] ** 2
+                         for v in traj.amplitudes])
+        np.testing.assert_allclose(photon_density(traj, "mapped"), want,
+                                   rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="picture"):
+            photon_density(traj, "rotated")
 
 
 class TestLocalizationReport:
