@@ -12,16 +12,14 @@ from .params import (LatticeParams, EmitterLayout, SingleExcitationState,
                      excited_emitter_state, weak_coupling_warnings)
 from .lattice import (build_bare_hamiltonian, build_mapped_hamiltonian,
                       build_total_hamiltonian, intracell_unitary,
-                      picture_unitary, transform_picture)
-from .spectral import (BlochMatrix, SpectrumResult, bloch_matrix,
-                       bloch_spectrum, obc_spectrum, dense_spectrum,
-                       band_centroid, point_gap_winding)
+                      transform_picture)
+from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
+                       obc_spectrum, band_centroid, point_gap_winding)
 from .dynamics import (Trajectory, LocalizationReport, evolve,
                        emitter_populations, photon_density,
                        localization_report, fit_decay_rate)
-from .effective import (PoleData, CellGreensBlock, EffectiveCouplingMatrix,
-                        greens_pbc, greens_obc, heff_numeric,
-                        heff_closed_form, interaction_range)
+from .effective import (EffectiveCouplingMatrix, greens_pbc, greens_obc,
+                        heff_numeric, heff_closed_form, interaction_range)
 from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
                       verify_eigenstate, coupling_from_dressed)
 from .config import ExperimentConfig, ConfigError, parse_config, serialize_config
@@ -32,15 +30,13 @@ __all__ = [
     "LatticeParams", "EmitterLayout", "SingleExcitationState",
     "excited_emitter_state", "weak_coupling_warnings",
     "build_bare_hamiltonian", "build_mapped_hamiltonian",
-    "build_total_hamiltonian", "intracell_unitary", "picture_unitary",
-    "transform_picture",
-    "BlochMatrix", "SpectrumResult", "bloch_matrix", "bloch_spectrum",
-    "obc_spectrum", "dense_spectrum", "band_centroid", "point_gap_winding",
+    "build_total_hamiltonian", "intracell_unitary", "transform_picture",
+    "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
+    "band_centroid", "point_gap_winding",
     "Trajectory", "LocalizationReport", "evolve", "emitter_populations",
     "photon_density", "localization_report", "fit_decay_rate",
-    "PoleData", "CellGreensBlock", "EffectiveCouplingMatrix",
-    "greens_pbc", "greens_obc", "heff_numeric", "heff_closed_form",
-    "interaction_range",
+    "EffectiveCouplingMatrix", "greens_pbc", "greens_obc", "heff_numeric",
+    "heff_closed_form", "interaction_range",
     "DressedState", "bulk_dressed_state", "edge_dressed_state",
     "verify_eigenstate", "coupling_from_dressed",
     "ExperimentConfig", "ConfigError", "parse_config", "serialize_config",

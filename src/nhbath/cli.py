@@ -67,6 +67,10 @@ def main(argv=None) -> int:
             raise ConfigError(["top-level JSON value must be an object"])
         raw["experiment"] = args.experiment
         raw = _apply_overrides(raw, args.set)
+        if raw["experiment"] != args.experiment:
+            raise ConfigError([f"experiment: --set experiment="
+                               f"{raw['experiment']!r} disagrees with the "
+                               f"subcommand {args.command}"])
         if args.output_dir is not None:
             raw["output_dir"] = args.output_dir
         cfg = parse_config(json.dumps(raw))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .dressed import _require_directional
@@ -62,15 +62,15 @@ class ExperimentConfig:
     experiment: str
     lattice: LatticeParams
     emitters: Optional[EmitterLayout]
-    excited_emitter: int = 1
-    t_max: float = 20.0
-    n_points: int = 201
-    t_av: float = 20.0
-    gamma_values: Optional[tuple] = None
-    heff_method: str = "numeric"
-    dressed_kind: str = "bulk"
-    output_dir: str = "out"
-    tol: float = 1e-9
+    excited_emitter: int
+    t_max: float
+    n_points: int
+    t_av: float
+    gamma_values: Optional[tuple]
+    heff_method: str
+    dressed_kind: str
+    output_dir: str
+    tol: float
 
     def flat_dict(self) -> dict:
         d = {
@@ -148,6 +148,9 @@ def _model_problems(experiment, lattice, emitters, heff_method,
         if dressed_kind == "edge" and lattice.periodic:
             problems.append("dressed_kind: the edge dressed state lives on "
                             "the open chain")
+        if dressed_kind == "edge" and emitters.cells != (lattice.n_cells,):
+            problems.append(f"cells: the edge dressed state belongs to the "
+                            f"emitter in the last cell, [{lattice.n_cells}]")
         if (dressed_kind == "bulk" and not lattice.periodic
                 and emitters.cells[0] == lattice.n_cells):
             problems.append("cells: the last cell of the open chain hosts the "
@@ -187,7 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
     t2 = _check_number(raw, "t2", problems, minimum=0, strict=True)
     gamma = _check_number(raw, "gamma", problems, minimum=0)
     for key in ("N", "t1", "t2", "gamma"):
-        if key not in raw:
+        if raw.get(key) is None:
             problems.append(f"{key}: required")
     boundary = raw.get("boundary", _DEFAULTS["boundary"])
     if boundary not in BOUNDARIES:
@@ -205,7 +208,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment in _NEEDS_EMITTERS:
         g = _check_number(raw, "g", problems, minimum=0, strict=True)
         cells = raw.get("cells")
-        if "g" not in raw:
+        if raw.get("g") is None:
             problems.append("g: required for experiment " + experiment)
         if cells is None:
             problems.append("cells: required for experiment " + experiment)
@@ -255,17 +258,15 @@ def parse_config(text: str) -> ExperimentConfig:
         tol = _DEFAULTS["tol"]
 
     gamma_values = raw.get("gamma_values")
-    if experiment == "sweep_gamma":
-        if gamma_values is None:
+    sweep = experiment == "sweep_gamma"
+    if gamma_values is None:
+        if sweep:
             problems.append("gamma_values: required for experiment sweep_gamma")
-        elif (not isinstance(gamma_values, list) or len(gamma_values) == 0
-              or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and _finite(v) and v >= 0 for v in gamma_values)):
-            problems.append("gamma_values: expected a non-empty list of finite reals >= 0, "
-                            f"got {gamma_values!r}")
-            gamma_values = None
-    elif gamma_values is not None and not isinstance(gamma_values, list):
-        problems.append(f"gamma_values: expected a list, got {gamma_values!r}")
+    elif (not isinstance(gamma_values, list) or (sweep and not gamma_values)
+          or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                     and _finite(v) and v >= 0 for v in gamma_values)):
+        problems.append("gamma_values: expected a non-empty list of finite "
+                        f"reals >= 0, got {gamma_values!r}")
         gamma_values = None
 
     heff_method = raw.get("heff_method", _DEFAULTS["heff_method"])

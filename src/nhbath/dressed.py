@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import transform_picture
-from .params import MAPPED, EmitterLayout, LatticeParams, SingleExcitationState
+from .params import MAPPED, LatticeParams, SingleExcitationState
 
 
 @dataclass
@@ -25,11 +25,6 @@ class DressedState:
     source_cell: int
     kind: str
     g: float
-
-    def normalized(self) -> SingleExcitationState:
-        v = self.state.vector()
-        return SingleExcitationState.from_vector(
-            v / np.linalg.norm(v), 1, self.state.picture)
 
 
 def _require_directional(params: LatticeParams) -> float:

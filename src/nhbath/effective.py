@@ -2,7 +2,6 @@
 resolvent that generates them."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,54 +10,6 @@ from .lattice import build_bare_hamiltonian
 from .params import EmitterLayout, LatticeParams
 
 _RICHARDSON_DELTA = 1e-3
-
-
-@dataclass(frozen=True)
-class PoleData:
-    """Roots of the dispersion polynomial on the unit-circle variable w.
-
-    w_minus lies inside the unit circle (its powers generate the decaying
-    envelope), w_plus outside.  kappa is the per-cell decay factor of the
-    induced couplings in the uniform (t1 == t2 == J) model.
-    """
-
-    w_minus: complex
-    w_plus: complex
-    discriminant_root: complex
-    kappa: complex
-
-    @classmethod
-    def from_params(cls, params: LatticeParams) -> "PoleData":
-        t1, t2, gamma = params.t1, params.t2, params.gamma
-        sq = np.sqrt(complex((t1 ** 2 - t2 ** 2) ** 2 + gamma ** 2 * t2 ** 2))
-        w_plus = -(t1 ** 2 + t2 ** 2 + sq) / (t2 * (2 * t1 + gamma))
-        w_minus = -(t1 ** 2 + t2 ** 2 - sq) / (t2 * (2 * t1 + gamma))
-        kappa = complex((gamma - 2 * t1) / (gamma + 2 * t1))
-        return cls(w_minus, w_plus, sq, kappa)
-
-
-@dataclass(frozen=True)
-class CellGreensBlock:
-    """2x2 sublattice block of the zero-energy resolvent at cell offset n."""
-
-    n: int
-    block: np.ndarray
-
-    @property
-    def aa(self) -> complex:
-        return complex(self.block[0, 0])
-
-    @property
-    def ab(self) -> complex:
-        return complex(self.block[0, 1])
-
-    @property
-    def ba(self) -> complex:
-        return complex(self.block[1, 0])
-
-    @property
-    def bb(self) -> complex:
-        return complex(self.block[1, 1])
 
 
 @dataclass
@@ -75,10 +26,6 @@ class EffectiveCouplingMatrix:
     boundary: str
     cells: tuple
     g: float
-
-    @property
-    def n_emitters(self) -> int:
-        return self.entries.shape[0]
 
 
 def interaction_range(gamma: float, j: float) -> float:
@@ -97,6 +44,19 @@ def interaction_range(gamma: float, j: float) -> float:
     if kappa >= 1.0:
         return np.inf
     return -1.0 / np.log(kappa)
+
+
+def _poles(t1: float, t2: float, gamma: float):
+    """Roots (w_minus, w_plus) of the dispersion polynomial in the
+    unit-circle variable w, and the discriminant root sq they share.
+
+    w_minus lies inside the unit circle (its powers generate the decaying
+    envelope), w_plus outside.
+    """
+    sq = np.sqrt(complex((t1 ** 2 - t2 ** 2) ** 2 + gamma ** 2 * t2 ** 2))
+    w_plus = -(t1 ** 2 + t2 ** 2 + sq) / (t2 * (2 * t1 + gamma))
+    w_minus = -(t1 ** 2 + t2 ** 2 - sq) / (t2 * (2 * t1 + gamma))
+    return w_minus, w_plus, sq
 
 
 def _w_matrix(w: complex, t1: float, t2: float, gamma: float) -> np.ndarray:
@@ -131,8 +91,7 @@ def _pole_blocks(n_cells: int, t1: float, t2: float, gamma: float,
         out[k == 0] -= wp0 / (a * w1)
         out[k == 0] -= w0 / (a * w1 ** 2)
         return out
-    pd = PoleData.from_params(LatticeParams(max(n_cells, 2), t1, t2, gamma))
-    w1, wm1, sq = pd.w_plus, pd.w_minus, pd.discriminant_root
+    wm1, w1, sq = _poles(t1, t2, gamma)
     g1 = _w_matrix(w1, t1, t2, gamma) / (w1 * sq)
     gm1 = -_w_matrix(wm1, t1, t2, gamma) / (wm1 * sq)
     out = ((w1 ** k / (1 - w1 ** n_cells))[:, None, None] * g1
@@ -190,9 +149,10 @@ def _obc_bb(params: LatticeParams, targets, sources) -> np.ndarray:
     return _regularized(ring, params.t1, params.t2, bb)
 
 
-def greens_pbc(params: LatticeParams, n: int) -> CellGreensBlock:
+def greens_pbc(params: LatticeParams, n: int) -> np.ndarray:
     """Zero-energy resolvent block (0 - H)^(-1) between cells offset by n on
-    the N-cell ring, evaluated by residue sums (exact, N-independent cost).
+    the N-cell ring, a 2x2 array over the (a, b) sublattices, evaluated by
+    residue sums (exact, N-independent cost).
 
     For even N with t1 == t2 only the lossy-lossy (bb) entry has a finite
     limit; it is obtained by extrapolating a small hopping split to zero and
@@ -204,9 +164,8 @@ def greens_pbc(params: LatticeParams, n: int) -> CellGreensBlock:
     if _degenerate_ring(N, params.t1, params.t2):
         block = np.full((2, 2), np.nan, dtype=complex)
         block[1, 1] = _pbc_bb(params, [n])[0]
-        return CellGreensBlock(n % N, block)
-    return CellGreensBlock(n % N, _pole_blocks(N, params.t1, params.t2,
-                                               params.gamma, [n])[0])
+        return block
+    return _pole_blocks(N, params.t1, params.t2, params.gamma, [n])[0]
 
 
 def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
@@ -223,31 +182,21 @@ def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
     return complex(_obc_bb(params, [m], [n])[0, 0])
 
 
-def _warn_weak_coupling(params: LatticeParams, layout: EmitterLayout) -> None:
-    if layout.g >= params.t2 / np.sqrt(params.n_cells):
-        warnings.warn(
-            f"g = {layout.g} >= t2/sqrt(N) = {params.t2 / np.sqrt(params.n_cells):.4g}; "
-            "the second-order coupling matrix may not be quantitatively "
-            "accurate", UserWarning, stacklevel=3)
-
-
-def heff_numeric(params: LatticeParams, layout: EmitterLayout,
-                 energy: complex = 0.0) -> EffectiveCouplingMatrix:
+def heff_numeric(params: LatticeParams,
+                 layout: EmitterLayout) -> EffectiveCouplingMatrix:
     """Effective coupling matrix from the dense lattice resolvent.
 
-    entries[i, j] = g^2 * <b_{cell_i}| (energy - H_field)^(-1) |b_{cell_j}>.
+    entries[i, j] = g^2 * <b_{cell_i}| (0 - H_field)^(-1) |b_{cell_j}>.
     All emitter columns are solved with one factorization.  Columns whose
     relative residual exceeds 1e-8 (all of them if the solve raises) are
     re-solved as the minimum-norm least-squares resolvent.  When the dense
-    system is singular at `energy` (even N with t1 == t2 at zero energy) this
-    is the physically relevant branch (it matches the open-boundary
-    couplings) but can differ from the finite closed form by a uniform 1/N
-    term.
+    system is singular (even N with t1 == t2) this is the physically
+    relevant branch (it matches the open-boundary couplings) but can differ
+    from the finite closed form by a uniform 1/N term.
     """
     layout.validate_against(params)
-    _warn_weak_coupling(params, layout)
     H = build_bare_hamiltonian(params)
-    A = energy * np.eye(H.shape[0], dtype=complex) - H
+    A = 0.0 - H  # not -H, whose -0.0 zeros change the solution's last bits
     rows = np.array([params.b_index(c) for c in layout.cells])
     rhs = np.zeros((H.shape[0], layout.n_emitters), dtype=complex)
     rhs[rows, np.arange(layout.n_emitters)] = 1.0
@@ -271,7 +220,7 @@ def _asymptotic_entry(s: int, j: float, gamma: float, g: float) -> complex:
 
 
 def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
-                     form: str = "auto") -> EffectiveCouplingMatrix:
+                     form: str) -> EffectiveCouplingMatrix:
     """Closed-form effective coupling matrix for the uniform model t1 == t2.
 
     form:
@@ -281,33 +230,14 @@ def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
         open chain the wrapped (leftward) entries pick up the boundary sign
         (-1)^(N+1) relative to the ring.
       * "finite" -- exact finite-N residue sums (gamma > 0 only).
-      * "auto" -- asymptotic when the chain is many decay lengths long,
-        otherwise fall back to "finite" with a warning.
     """
     layout.validate_against(params)
     if not params.uniform:
         raise ValueError("closed forms require t1 == t2")
-    if form not in ("auto", "finite", "asymptotic"):
+    if form not in ("finite", "asymptotic"):
         raise ValueError(f"unknown form {form!r}")
-    _warn_weak_coupling(params, layout)
     j, gamma, g = params.t1, params.gamma, layout.g
     N = params.n_cells
-    lam = interaction_range(gamma, j)
-
-    if form == "auto":
-        if gamma == 0:
-            form = "asymptotic"
-            warnings.warn(
-                "gamma = 0: couplings do not decay, the asymptotic form is "
-                "only indicative at finite N", UserWarning, stacklevel=2)
-        elif N >= 21 * lam:
-            form = "asymptotic"
-        else:
-            form = "finite"
-            warnings.warn(
-                f"chain length N = {N} is not large against the interaction "
-                f"range {lam:.3g}; using finite-size residue sums",
-                UserWarning, stacklevel=2)
     if form == "finite" and gamma == 0:
         raise ValueError("finite-size residue sums require gamma > 0")
 

@@ -2,8 +2,6 @@
 original (a, b) picture and the intra-cell-rotated (alpha, beta) picture."""
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .params import (MAPPED, ORIGINAL, EmitterLayout, LatticeParams,
@@ -49,7 +47,7 @@ def build_mapped_hamiltonian(params: LatticeParams) -> np.ndarray:
     rates t1 +/- gamma/2 (alpha -> beta gains, beta -> alpha loses), a
     reciprocal inter-cell rate t2, and a uniform on-site loss -i*gamma/2.
     Equals the similarity transform of `build_bare_hamiltonian` by
-    `picture_unitary`.
+    `intracell_unitary` on every cell.
     """
     t1, t2, gamma = params.t1, params.t2, params.gamma
     return _assemble(params, [[-1j * gamma / 2, t1 + gamma / 2],
@@ -71,52 +69,22 @@ def rotate_cells(amps: np.ndarray, to_mapped: bool = True) -> np.ndarray:
     return (pairs @ (uc if to_mapped else uc.conj())).reshape(amps.shape)
 
 
-def picture_unitary(n_cells: int, n_emitters: int = 0) -> np.ndarray:
-    """Block-diagonal unitary mapping original amplitudes to mapped ones.
+def transform_picture(state: SingleExcitationState,
+                      direction: str) -> SingleExcitationState:
+    """Move a state between the two pictures.
 
-    Acts as the identity on the first `n_emitters` components and as
-    `intracell_unitary` on each cell block.
-    """
-    cells = np.zeros((n_cells, 2, n_cells, 2), dtype=complex)
-    k = np.arange(n_cells)
-    cells[k, :, k, :] = intracell_unitary()
-    U = np.eye(n_emitters + 2 * n_cells, dtype=complex)
-    U[n_emitters:, n_emitters:] = cells.reshape(2 * n_cells, 2 * n_cells)
-    return U
-
-
-def transform_picture(obj: Union[SingleExcitationState, np.ndarray],
-                      direction: str,
-                      n_emitters: int = 0):
-    """Move a state or an operator between the two pictures.
-
-    direction is "to_mapped" or "to_original".  For a
-    `SingleExcitationState` the stored picture tag must agree with the
-    requested source picture and `n_emitters` is ignored; for a square matrix
-    the photon block is assumed to start at row/column `n_emitters`.
+    direction is "to_mapped" or "to_original"; the state's picture tag must
+    agree with the requested source picture.
     """
     if direction not in ("to_mapped", "to_original"):
         raise ValueError(f"direction must be 'to_mapped' or 'to_original', got {direction!r}")
     to_mapped = direction == "to_mapped"
-
-    if isinstance(obj, SingleExcitationState):
-        expect = ORIGINAL if to_mapped else MAPPED
-        if obj.picture != expect:
-            raise ValueError(f"state is already in the {obj.picture} picture")
-        return SingleExcitationState(obj.emitter_amps.copy(),
-                                     rotate_cells(obj.photon_amps, to_mapped),
-                                     MAPPED if to_mapped else ORIGINAL)
-
-    M = np.asarray(obj, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if (M.shape[0] - n_emitters) % 2 != 0 or M.shape[0] <= n_emitters:
-        raise ValueError("matrix size inconsistent with n_emitters")
-    n_cells = (M.shape[0] - n_emitters) // 2
-    U = picture_unitary(n_cells, n_emitters)
-    if to_mapped:
-        return U @ M @ U.conj().T
-    return U.conj().T @ M @ U
+    expect = ORIGINAL if to_mapped else MAPPED
+    if state.picture != expect:
+        raise ValueError(f"state is already in the {state.picture} picture")
+    return SingleExcitationState(state.emitter_amps.copy(),
+                                 rotate_cells(state.photon_amps, to_mapped),
+                                 MAPPED if to_mapped else ORIGINAL)
 
 
 def build_total_hamiltonian(params: LatticeParams, layout: EmitterLayout,

@@ -1,8 +1,8 @@
 """Model parameters, emitter layout and single-excitation state containers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -160,23 +160,10 @@ class SingleExcitationState:
     def vector(self) -> np.ndarray:
         return np.concatenate([self.emitter_amps, self.photon_amps])
 
-    @classmethod
-    def from_vector(cls, vec: Sequence[complex], n_emitters: int,
-                    picture: str = ORIGINAL) -> "SingleExcitationState":
-        vec = np.asarray(vec, dtype=complex)
-        return cls(vec[:n_emitters].copy(), vec[n_emitters:].copy(), picture)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector()))
-
     def photon_amp(self, cell: int, sublattice: str) -> complex:
         """Amplitude on one cavity; sublattice 'a'/'b' or 'alpha'/'beta'."""
         offset = {"a": 0, "alpha": 0, "b": 1, "beta": 1}[sublattice]
         return complex(self.photon_amps[2 * (cell - 1) + offset])
-
-    def copy(self) -> "SingleExcitationState":
-        return SingleExcitationState(
-            self.emitter_amps.copy(), self.photon_amps.copy(), self.picture)
 
 
 def excited_emitter_state(params: LatticeParams, layout: EmitterLayout,

@@ -16,7 +16,7 @@ from .dynamics import (emitter_populations, evolve, localization_report,
                        photon_density)
 from .effective import heff_closed_form, heff_numeric
 from .lattice import build_total_hamiltonian
-from .params import EmitterLayout, LatticeParams, excited_emitter_state
+from .params import excited_emitter_state
 from .spectral import bloch_spectrum, obc_spectrum
 
 

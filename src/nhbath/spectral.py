@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -10,27 +10,9 @@ from .lattice import build_bare_hamiltonian
 from .params import LatticeParams
 
 
-@dataclass(frozen=True)
-class BlochMatrix:
-    """2x2 momentum-space Hamiltonian at quasimomentum q, or a stack of them,
-    shape q.shape + (2, 2), for an array of q."""
-
-    q: Union[float, np.ndarray]
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
-
-    def determinant(self, e0: complex = 0.0):
-        """det(matrix - e0), the quantity whose phase winds around loops."""
-        m = self.matrix
-        d = (m[..., 0, 0] - e0) * (m[..., 1, 1] - e0) - m[..., 0, 1] * m[..., 1, 0]
-        return complex(d) if d.ndim == 0 else d
-
-
-def bloch_matrix(params: LatticeParams, q) -> BlochMatrix:
+def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
     """Momentum-space Hamiltonian of the translation-invariant array, at a
-    scalar q or at every entry of an array of q.
+    scalar q or at every entry of an array of q: shape q.shape + (2, 2).
 
     Off-diagonal t1 + t2 cos q; diagonal -+ t2 sin q, with the loss -i*gamma
     on the lossy sublattice.
@@ -43,7 +25,7 @@ def bloch_matrix(params: LatticeParams, q) -> BlochMatrix:
     m[..., 0, 1] = off
     m[..., 1, 0] = off
     m[..., 1, 1] = s - 1j * params.gamma
-    return BlochMatrix(q if q.ndim else float(q), m)
+    return m
 
 
 @dataclass
@@ -63,10 +45,6 @@ class SpectrumResult:
     q_values: Optional[np.ndarray] = None
     right_vectors: Optional[np.ndarray] = None
 
-    @property
-    def n_levels(self) -> int:
-        return self.eigenvalues.size
-
 
 def _defectivity(vectors: np.ndarray) -> float:
     """Worst reciprocal condition number over a stack of eigenvector matrices."""
@@ -79,27 +57,24 @@ def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
     if not params.periodic:
         raise ValueError("bloch_spectrum requires periodic boundary conditions")
     n = params.n_cells
-    bm = bloch_matrix(params, 2 * np.pi * np.arange(n) / n)
+    q = 2 * np.pi * np.arange(n) / n
+    bm = bloch_matrix(params, q)
     # eigenvalues from eigvals, vectors from eig: LAPACK takes another path
     # when it also computes vectors, and spectrum.csv writes the eigenvalues
-    _, vecs = np.linalg.eig(bm.matrix)
-    return SpectrumResult(bm.eigenvalues().ravel(), params.boundary,
-                          _defectivity(vecs), q_values=np.repeat(bm.q, 2))
-
-
-def dense_spectrum(params: LatticeParams) -> SpectrumResult:
-    """Eigen-decomposition of the dense real-space Hamiltonian; column k of
-    `right_vectors` is the right eigenvector of eigenvalue k."""
-    evs, right = np.linalg.eig(build_bare_hamiltonian(params))
-    return SpectrumResult(evs, params.boundary, _defectivity(right),
-                          right_vectors=right)
+    _, vecs = np.linalg.eig(bm)
+    return SpectrumResult(np.linalg.eigvals(bm).ravel(), params.boundary,
+                          _defectivity(vecs), q_values=np.repeat(q, 2))
 
 
 def obc_spectrum(params: LatticeParams) -> SpectrumResult:
-    """Spectrum of the finite open chain."""
+    """Spectrum of the finite open chain from the dense real-space
+    Hamiltonian; column k of `right_vectors` is the right eigenvector of
+    eigenvalue k."""
     if params.periodic:
         raise ValueError("obc_spectrum requires open boundary conditions")
-    return dense_spectrum(params)
+    evs, right = np.linalg.eig(build_bare_hamiltonian(params))
+    return SpectrumResult(evs, params.boundary, _defectivity(right),
+                          right_vectors=right)
 
 
 def band_centroid(params: LatticeParams, band: str = "upper",
@@ -113,7 +88,7 @@ def band_centroid(params: LatticeParams, band: str = "upper",
         raise ValueError("band must be 'upper' or 'lower'")
     pick = -1 if band == "upper" else 0
     qs = 2 * np.pi * np.arange(n_points) / n_points
-    ev = bloch_matrix(params, qs).eigenvalues()
+    ev = np.linalg.eigvals(bloch_matrix(params, qs))
     branch = ev[np.arange(n_points), np.argsort(ev.real, axis=1)[:, pick]]
     return complex(branch.mean())
 
@@ -130,7 +105,8 @@ def point_gap_winding(params: LatticeParams, e0: complex,
     m = int(n_points)
     for _ in range(3):
         qs = np.arange(m + 1) * (2 * np.pi / m)
-        dets = bloch_matrix(params, qs).determinant(e0)
+        b = bloch_matrix(params, qs)
+        dets = (b[:, 0, 0] - e0) * (b[:, 1, 1] - e0) - b[:, 0, 1] * b[:, 1, 0]
         scale = (params.t1 + params.t2 + params.gamma + abs(e0)) ** 2
         if np.min(np.abs(dets)) < 1e-12 * scale:
             raise ValueError("reference energy lies on the spectral curve")

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from nhbath import __version__, parse_config, run_experiment
+from nhbath import (EmitterLayout, LatticeParams, __version__, parse_config,
+                    run_experiment, weak_coupling_warnings)
 from nhbath.cli import main
 from nhbath.runner import max_workers
 
@@ -20,6 +23,11 @@ def spectrum_config(tmp_path, **extra):
                experiment="spectrum", output_dir=str(tmp_path / "out"))
     raw.update(extra)
     return write_config(tmp_path, **raw)
+
+
+# sha256 of dressed.csv for the N=6 open chain at gamma = 2J, g = 0.05, with
+# dressed_kind "edge" and cells [6]
+EDGE_N6_SHA256 = "55a6e59d35481417c0d777f782730b677d2f5a82d435b0837f0527e55c26e81f"
 
 
 class TestCli:
@@ -126,11 +134,61 @@ class TestCli:
         cfg = write_config(tmp_path, N=4, t1=1.0, t2=1.0, gamma=1.0,
                            boundary="open", experiment="heff", g=0.6,
                            cells=[1, 2], output_dir=str(tmp_path / "out"))
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["heff", "--config", cfg]) == 0
-        assert "warning" in capsys.readouterr().err
+        # g = 0.6 >= t2/sqrt(N) = 0.5: the rule is printed by the CLI, once,
+        # and the library raises no warning of its own
+        msgs = weak_coupling_warnings(LatticeParams(4, 1.0, 1.0, 1.0, "open"),
+                                      EmitterLayout([1, 2], 0.6))
+        assert any("t2/sqrt(N)" in m for m in msgs)
+        for method in ("numeric", "finite", "asymptotic"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["heff", "--config", cfg, "--set",
+                             f"heff_method={method}"]) == 0
+            err = capsys.readouterr().err
+            for m in msgs:
+                assert err.count(m) == 1, (method, m)
+            assert err.count("warning") == len(msgs)
+
+    @pytest.mark.parametrize("cells, code", [([2], 2), ([6], 0)])
+    def test_edge_dressed_state_names_the_last_cell(self, tmp_path, capsys,
+                                                    cells, code):
+        cfg = write_config(tmp_path, N=6, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=cells,
+                           dressed_kind="edge", output_dir=str(tmp_path / "out"))
+        assert main(["dressed", "--config", cfg]) == code
+        if code:
+            assert "cells" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        else:  # frozen bytes of the N=6 edge state
+            digest = hashlib.sha256(
+                (tmp_path / "out" / "dressed.csv").read_bytes()).hexdigest()
+            assert digest == EDGE_N6_SHA256
+
+    @pytest.mark.parametrize("values", [["x"], [None], [1.0, "2"], [True],
+                                        [float("nan")], [-1.0], "1.0"])
+    @pytest.mark.parametrize("command", ["emit", "sweep-gamma", "spectrum"])
+    def test_bad_gamma_values_exit_2(self, tmp_path, capsys, command, values):
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[3], t_max=2.0,
+                           n_points=11, t_av=2.0, gamma_values=values,
+                           output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", cfg]) == 2
+        assert "gamma_values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, code", [("spectrum", 2), ("heff", 2),
+                                             ("emit", 0)])
+    def test_set_experiment_must_agree_with_subcommand(self, tmp_path, capsys,
+                                                       value, code):
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[3], t_max=2.0,
+                           n_points=11, t_av=2.0,
+                           output_dir=str(tmp_path / "out"))
+        assert main(["emit", "--config", cfg, "--set",
+                     f"experiment={value}"]) == code
+        if code:
+            assert "experiment" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 class TestRunExperiment:

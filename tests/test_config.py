@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhbath import ConfigError, parse_config, serialize_config
+from nhbath import ConfigError, ExperimentConfig, parse_config, serialize_config
+from nhbath.config import EXPERIMENTS, KNOWN_KEYS
 
 MINIMAL_SPECTRUM = ('{"N": 8, "t1": 1, "t2": 1, "gamma": 1, '
                     '"boundary": "periodic", "experiment": "spectrum"}')
@@ -87,3 +90,48 @@ class TestParseConfig:
             raw = dict(base, experiment=experiment, **extra)
             cfg = parse_config(json.dumps(raw))
             assert parse_config(serialize_config(cfg)) == cfg, experiment
+
+
+_NAMES = ("spectrum", "emit", "transfer", "heff", "dressed", "sweep_gamma",
+          "periodic", "open", "numeric", "finite", "asymptotic", "bulk", "edge")
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                     st.integers(), st.floats(), st.sampled_from(_NAMES),
+                     st.text(max_size=4))
+_lists = st.lists(_scalars, min_size=1, max_size=3)
+_json = st.one_of(_scalars, _lists,
+                  st.dictionaries(st.text(max_size=3), _scalars, max_size=2))
+_keys = st.sampled_from(sorted(KNOWN_KEYS) + ["bogus"])
+# a valid config of each experiment with one key replaced, so that the fuzzed
+# value reaches the checks behind the required-key ones; a list-valued key
+# gets a list of any scalars
+_VALID = {"N": 8, "t1": 1.0, "t2": 1.0, "gamma": 2.0, "boundary": "open",
+          "g": 0.05, "cells": [3], "t_max": 2.0, "n_points": 11, "t_av": 2.0,
+          "gamma_values": [1.0, 2.0], "output_dir": "out"}
+_one_key_off = st.builds(
+    lambda e, kv: {**_VALID, "experiment": e, kv[0]: kv[1]},
+    st.sampled_from(EXPERIMENTS),
+    _keys.flatmap(lambda k: st.tuples(
+        st.just(k), _lists if isinstance(_VALID.get(k), list) else _json)))
+
+
+def _accepts_or_raises_config_error(raw):
+    # any JSON object either validates or is refused with the list of its
+    # problems; no other exception may reach the command line (exit 1)
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    serialize_config(cfg)  # the runner hashes it before writing anything
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(raw=_one_key_off)
+def test_one_bad_key_raises_config_error(raw):
+    _accepts_or_raises_config_error(raw)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(raw=st.dictionaries(_keys, _json))
+def test_any_json_object_raises_config_error(raw):
+    _accepts_or_raises_config_error(raw)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,6 @@ class TestBulkDressedState:
     def test_last_cell_of_chain_rejected(self):
         with pytest.raises(ValueError, match="edge"):
             bulk_dressed_state(_chain(9), 9, 0.1)
-
-    def test_normalized_helper(self):
-        ds = bulk_dressed_state(_chain(9), 4, 0.1)
-        assert ds.normalized().norm() == pytest.approx(1.0)
 
 
 class TestEdgeDressedState:
@@ -121,8 +119,9 @@ class TestVerifyEigenstate:
         p = _chain(9)
         g = 0.01
         ds = bulk_dressed_state(p, 4, g)
-        bare = ds.state.copy()
-        bare.photon_amps[:] = 0.0  # undressed emitter misses the cloud
+        # undressed emitter misses the cloud
+        bare = dataclasses.replace(ds.state,
+                                   photon_amps=np.zeros_like(ds.state.photon_amps))
         ds_bad = type(ds)(bare, ds.energy, 4, "bulk", g)
         good = verify_eigenstate(_hamiltonian(p, 4, g), ds)
         bad = verify_eigenstate(_hamiltonian(p, 4, g), ds_bad)

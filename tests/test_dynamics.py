@@ -6,7 +6,8 @@ import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
                     emitter_populations, evolve, excited_emitter_state,
                     fit_decay_rate, localization_report, photon_density,
-                    picture_unitary, transform_picture)
+                    transform_picture)
+from oracles import picture_unitary
 
 
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):

