@@ -18,8 +18,8 @@ from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
 from .dynamics import (Trajectory, LocalizationReport, evolve,
                        emitter_populations, photon_density,
                        localization_report, fit_decay_rate)
-from .effective import (EffectiveCouplingMatrix, greens_pbc, greens_obc,
-                        heff_numeric, heff_closed_form, interaction_range)
+from .effective import (EffectiveCouplingMatrix, greens_obc, heff_numeric,
+                        heff_closed_form, interaction_range)
 from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
                       verify_eigenstate, coupling_from_dressed)
 from .config import ExperimentConfig, ConfigError, parse_config, serialize_config
@@ -35,7 +35,7 @@ __all__ = [
     "band_centroid", "point_gap_winding",
     "Trajectory", "LocalizationReport", "evolve", "emitter_populations",
     "photon_density", "localization_report", "fit_decay_rate",
-    "EffectiveCouplingMatrix", "greens_pbc", "greens_obc", "heff_numeric",
+    "EffectiveCouplingMatrix", "greens_obc", "heff_numeric",
     "heff_closed_form", "interaction_range",
     "DressedState", "bulk_dressed_state", "edge_dressed_state",
     "verify_eigenstate", "coupling_from_dressed",

@@ -103,7 +103,14 @@ class ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical JSON text; parse(serialize(cfg)) reproduces cfg."""
+    """Canonical JSON text of the keys the experiment reads.
+
+    The lattice keys, `output_dir`, `tol` and any `gamma_values` given are
+    always kept; the other keys only for the experiments that read them (see
+    `ExperimentConfig.flat_dict`).  An ignored key is dropped, so parsing the
+    text can give a config that holds the default there, but serialization
+    is idempotent: serialize(parse(serialize(cfg))) == serialize(cfg).
+    """
     return json.dumps(cfg.flat_dict(), sort_keys=True, indent=2) + "\n"
 
 
@@ -160,7 +167,7 @@ def _model_problems(experiment, lattice, emitters, heff_method,
             problems.append(f"heff_method: {heff_method} closed forms "
                             "require t1 == t2")
         if heff_method == "finite" and lattice.gamma == 0:
-            problems.append("heff_method: finite-size residue sums require "
+            problems.append("heff_method: the finite closed form requires "
                             "gamma > 0")
     return problems
 

@@ -118,6 +118,9 @@ def localization_report(traj: Trajectory, atom_cell: int,
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")
     mask = times <= t_average + 1e-12
+    if mask.sum() < 2:
+        raise ValueError(f"t_average {t_average} is shorter than the first "
+                         f"time step {times[1]}")
     dens = photon_density(traj)[mask]
     tms = times[mask]
     cell_prob = dens[:, 0::2] + dens[:, 1::2]

@@ -2,14 +2,12 @@
 resolvent that generates them."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lattice import build_bare_hamiltonian
-from .params import EmitterLayout, LatticeParams
-
-_RICHARDSON_DELTA = 1e-3
+from .params import OPEN, EmitterLayout, LatticeParams
 
 
 @dataclass
@@ -46,140 +44,47 @@ def interaction_range(gamma: float, j: float) -> float:
     return -1.0 / np.log(kappa)
 
 
-def _poles(t1: float, t2: float, gamma: float):
-    """Roots (w_minus, w_plus) of the dispersion polynomial in the
-    unit-circle variable w, and the discriminant root sq they share.
+def _bb_resolvent(params: LatticeParams, targets, sources,
+                  finite: bool) -> np.ndarray:
+    """Lossy-lossy entries of the zero-energy resolvent (0 - H)^(-1) of the
+    uniform model (t1 == t2 == J), rows = target cells and columns = source
+    cells (1-based).
 
-    w_minus lies inside the unit circle (its powers generate the decaying
-    envelope), w_plus outside.
+    The Bloch bb entry i(w - 1)/((gamma + 2J)(1 - kappa w)), w = e^(iq), has
+    the single pole 1/kappa, kappa = (gamma - 2J)/(gamma + 2J), so a source
+    drives a target s = d mod N cells to its right (d = target - source) with
+    T(s) = kappa^(s-1) (1 - kappa) and itself with T(0) = -1, and
+    G_bb = i T / (gamma + 2J).  The open chain is the ring with wrap sign
+    sigma = (-1)^(N+1) (sigma = 1 on the ring), picked up by every leftward
+    pair (d < 0).  `finite` sums the images around the ring:
+    T(0) = sigma kappa^(N-1) - 1 and every entry is divided by
+    1 - sigma kappa^N; otherwise the large-N limit is returned.  Exact for
+    every N: the q = pi dark mode of even rings lives on the a sublattice only.
     """
-    sq = np.sqrt(complex((t1 ** 2 - t2 ** 2) ** 2 + gamma ** 2 * t2 ** 2))
-    w_plus = -(t1 ** 2 + t2 ** 2 + sq) / (t2 * (2 * t1 + gamma))
-    w_minus = -(t1 ** 2 + t2 ** 2 - sq) / (t2 * (2 * t1 + gamma))
-    return w_minus, w_plus, sq
-
-
-def _w_matrix(w: complex, t1: float, t2: float, gamma: float) -> np.ndarray:
-    """Adjugate of the real-space transfer polynomial at the root variable w."""
-    return np.array([
-        [1j * gamma * w - 1j * (t2 / 2) * (w ** 2 - 1),
-         t1 * w + (t2 / 2) * (w ** 2 + 1)],
-        [t1 * w + (t2 / 2) * (w ** 2 + 1),
-         1j * (t2 / 2) * (w ** 2 - 1)]], dtype=complex)
-
-
-def _pole_blocks(n_cells: int, t1: float, t2: float, gamma: float,
-                 offsets) -> np.ndarray:
-    """Residue-sum evaluation of the periodic zero-energy resolvent blocks.
-
-    Returns the 2x2 blocks G(k) for every integer cell offset k in `offsets`,
-    shape (len(offsets), 2, 2).  Dispatches to the confluent double-pole
-    expression when gamma == 2*t1 (the w = 0 and w_minus poles merge).
-    Callers must keep the geometry non-degenerate: for even rings with
-    t1 == t2 a pole sits on the unit circle and the sum diverges.
-    """
-    scale = max(t1, t2, gamma)
-    k = np.asarray(offsets, dtype=int) % n_cells
-    if abs(gamma - 2 * t1) < 1e-9 * scale:
-        a = -t2 * (t1 + gamma / 2)
-        w1 = -(t1 ** 2 + t2 ** 2) / (2 * t1 * t2)
-        coef = w1 ** k / (1 - w1 ** n_cells)
-        out = coef[:, None, None] * _w_matrix(w1, t1, t2, gamma) / (a * w1 ** 2)
-        w0 = _w_matrix(0.0, t1, t2, gamma)
-        wp0 = np.array([[1j * gamma, t1], [t1, 0.0]], dtype=complex)
-        out[k == 1] -= w0 / (a * w1)
-        out[k == 0] -= wp0 / (a * w1)
-        out[k == 0] -= w0 / (a * w1 ** 2)
-        return out
-    wm1, w1, sq = _poles(t1, t2, gamma)
-    g1 = _w_matrix(w1, t1, t2, gamma) / (w1 * sq)
-    gm1 = -_w_matrix(wm1, t1, t2, gamma) / (wm1 * sq)
-    out = ((w1 ** k / (1 - w1 ** n_cells))[:, None, None] * g1
-           + (wm1 ** k / (1 - wm1 ** n_cells))[:, None, None] * gm1)
-    out[k == 0] -= np.array([[1j, 1], [1, -1j]], dtype=complex) / (2 * t1 - gamma)
-    return out
-
-
-def _richardson(f, delta: float = _RICHARDSON_DELTA):
-    """Two-stage extrapolation of f(delta) -> f(0) for f = f0 + c1 d + c2 d^2."""
-    f1, f2, f4 = f(delta), f(delta / 2), f(delta / 4)
-    return (4 * (2 * f4 - f2) - (2 * f2 - f1)) / 3
-
-
-def _degenerate_ring(n_cells: int, t1: float, t2: float) -> bool:
-    """Even ring with equal hoppings: a resolvent pole sits on the unit circle."""
-    return n_cells % 2 == 0 and abs(t1 - t2) < 1e-12 * max(t1, t2)
-
-
-def _regularized(ring: int, t1: float, t2: float, f):
-    """f(t1, t2), or on a degenerate ring its limit as a small hopping split
-    j*(1 -+ d) is extrapolated to zero."""
-    if _degenerate_ring(ring, t1, t2):
-        j = (t1 + t2) / 2
-        return _richardson(lambda d: f(j * (1 - d), j * (1 + d)))
-    return f(t1, t2)
-
-
-def _pbc_bb(params: LatticeParams, offsets) -> np.ndarray:
-    """Lossy-lossy ring resolvent entries at the given cell offsets."""
-    N = params.n_cells
-    return _regularized(N, params.t1, params.t2, lambda t1, t2: _pole_blocks(
-        N, t1, t2, params.gamma, offsets)[:, 1, 1])
-
-
-def _obc_bb(params: LatticeParams, targets, sources) -> np.ndarray:
-    """Lossy-lossy open-chain resolvent entries, rows = target cells and
-    columns = source cells (1-based).
-
-    The open chain of N cells is realized as an (N+1)-cell ring with cell 0
-    projected out: G_bb(m - n) - G(m)[1, :] G(0)^(-1) G(-n)[:, 1], i.e. a
-    Toeplitz gather minus one rank-2 correction.
-    """
-    ring = params.n_cells + 1
-    m = np.asarray(targets, dtype=int)
-    n = np.asarray(sources, dtype=int)
-
-    def bb(t1, t2):
-        G = _pole_blocks(ring, t1, t2, params.gamma, np.arange(ring))
-        left = G[m % ring, 1, :]
-        right = G[-n % ring, :, 1]
-        return (G[(m[:, None] - n[None, :]) % ring, 1, 1]
-                - left @ np.linalg.inv(G[0]) @ right.T)
-
-    return _regularized(ring, params.t1, params.t2, bb)
-
-
-def greens_pbc(params: LatticeParams, n: int) -> np.ndarray:
-    """Zero-energy resolvent block (0 - H)^(-1) between cells offset by n on
-    the N-cell ring, a 2x2 array over the (a, b) sublattices, evaluated by
-    residue sums (exact, N-independent cost).
-
-    For even N with t1 == t2 only the lossy-lossy (bb) entry has a finite
-    limit; it is obtained by extrapolating a small hopping split to zero and
-    the remaining entries are returned as NaN.  Requires gamma > 0.
-    """
-    if params.gamma <= 0:
-        raise ValueError("the zero-energy resolvent requires gamma > 0")
-    N = params.n_cells
-    if _degenerate_ring(N, params.t1, params.t2):
-        block = np.full((2, 2), np.nan, dtype=complex)
-        block[1, 1] = _pbc_bb(params, [n])[0]
-        return block
-    return _pole_blocks(N, params.t1, params.t2, params.gamma, [n])[0]
+    N, j, gamma = params.n_cells, params.t1, params.gamma
+    kappa = (gamma - 2 * j) / (gamma + 2 * j)
+    sigma = 1 if params.periodic else (-1) ** (N + 1)
+    d = np.subtract.outer(targets, sources)
+    s = d % N
+    T = (np.where(d < 0, sigma, 1) * kappa ** np.maximum(s - 1, 0)
+         * (1 - kappa))
+    T[s == 0] = sigma * kappa ** (N - 1) - 1 if finite else -1
+    if finite:
+        T = T / (1 - sigma * kappa ** N)
+    return 1j * T / (gamma + 2 * j)
 
 
 def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
     """Lossy-lossy entry of the open-chain zero-energy resolvent between
-    cells m and n (1-based).
-
-    The open chain of N cells is realized as an (N+1)-cell ring with one cell
-    projected out, so everything reduces to the periodic residue sums.
-    """
+    cells m and n (1-based), for the uniform model t1 == t2 and gamma > 0."""
     if params.gamma <= 0:
         raise ValueError("the zero-energy resolvent requires gamma > 0")
+    if not params.uniform:
+        raise ValueError("the closed-form resolvent requires t1 == t2")
     params.check_cell(m)
     params.check_cell(n)
-    return complex(_obc_bb(params, [m], [n])[0, 0])
+    chain = replace(params, boundary=OPEN)
+    return complex(_bb_resolvent(chain, [m], [n], finite=True)[0, 0])
 
 
 def heff_numeric(params: LatticeParams,
@@ -189,10 +94,7 @@ def heff_numeric(params: LatticeParams,
     entries[i, j] = g^2 * <b_{cell_i}| (0 - H_field)^(-1) |b_{cell_j}>.
     All emitter columns are solved with one factorization.  Columns whose
     relative residual exceeds 1e-8 (all of them if the solve raises) are
-    re-solved as the minimum-norm least-squares resolvent.  When the dense
-    system is singular (even N with t1 == t2) this is the physically
-    relevant branch (it matches the open-boundary couplings) but can differ
-    from the finite closed form by a uniform 1/N term.
+    re-solved as the minimum-norm least-squares resolvent.
     """
     layout.validate_against(params)
     H = build_bare_hamiltonian(params)
@@ -214,55 +116,29 @@ def heff_numeric(params: LatticeParams,
                                    layout.cells, layout.g)
 
 
-def _asymptotic_entry(s: int, j: float, gamma: float, g: float) -> complex:
-    """Large-N coupling from source to a target s cells to its right (s >= 1)."""
-    return 1j * 4 * g ** 2 * j * (gamma - 2 * j) ** (s - 1) / (gamma + 2 * j) ** (s + 1)
-
-
 def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
                      form: str) -> EffectiveCouplingMatrix:
     """Closed-form effective coupling matrix for the uniform model t1 == t2.
 
+    entries = g^2 G_bb between the emitter cells (see `_bb_resolvent`): the
+    diagonal is the self-energy, a coupling s cells to the right has
+    magnitude 4 J g^2 |kappa|^(s-1) / (gamma + 2J)^2, and on the open chain
+    leftward couplings carry the boundary sign (-1)^(N+1).
+
     form:
-      * "asymptotic" -- large-N expressions: every off-diagonal coupling is
-        purely rightward with magnitude Gamma * |kappa|^(s-1) after s cells,
-        the diagonal is the common self-energy -i g^2/(gamma + 2J).  On the
-        open chain the wrapped (leftward) entries pick up the boundary sign
-        (-1)^(N+1) relative to the ring.
-      * "finite" -- exact finite-N residue sums (gamma > 0 only).
+      * "finite" -- exact for every N (gamma > 0 only).
+      * "asymptotic" -- the large-N limit: the images around the ring are
+        dropped.
     """
     layout.validate_against(params)
     if not params.uniform:
         raise ValueError("closed forms require t1 == t2")
     if form not in ("finite", "asymptotic"):
         raise ValueError(f"unknown form {form!r}")
-    j, gamma, g = params.t1, params.gamma, layout.g
-    N = params.n_cells
-    if form == "finite" and gamma == 0:
-        raise ValueError("finite-size residue sums require gamma > 0")
-
-    if form == "asymptotic":
-        ne = layout.n_emitters
-        entries = np.empty((ne, ne), dtype=complex)
-        diag = -1j * g ** 2 / (gamma + 2 * j)
-        for i, ci in enumerate(layout.cells):
-            for k, ck in enumerate(layout.cells):
-                if ci == ck:
-                    entries[i, k] = diag
-                    continue
-                s = (ci - ck) % N
-                val = _asymptotic_entry(s, j, gamma, g)
-                if not params.periodic and ci < ck:
-                    val *= (-1) ** (N + 1)  # wrapped pairs feel the cut
-                entries[i, k] = val
-        method = "closed_form_asymptotic"
-    else:
-        cells = np.array(layout.cells)
-        if params.periodic:
-            bb = _pbc_bb(params, np.arange(N))[(cells[:, None] - cells[None, :]) % N]
-        else:
-            bb = _obc_bb(params, cells, cells)
-        entries = g ** 2 * bb
-        method = "closed_form_finite"
-    return EffectiveCouplingMatrix(entries, method, params.boundary,
-                                   layout.cells, g)
+    if form == "finite" and params.gamma == 0:
+        raise ValueError("the finite closed form requires gamma > 0")
+    cells = layout.cells
+    entries = layout.g ** 2 * _bb_resolvent(params, cells, cells,
+                                            finite=form == "finite")
+    return EffectiveCouplingMatrix(entries, f"closed_form_{form}",
+                                   params.boundary, cells, layout.g)

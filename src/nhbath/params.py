@@ -70,12 +70,6 @@ class LatticeParams:
             raise ValueError(f"cell index {cell} out of range 1..{self.n_cells}")
         return cell
 
-    def replace(self, **kw) -> "LatticeParams":
-        d = dict(n_cells=self.n_cells, t1=self.t1, t2=self.t2,
-                 gamma=self.gamma, boundary=self.boundary)
-        d.update(kw)
-        return LatticeParams(**d)
-
 
 @dataclass(frozen=True)
 class EmitterLayout:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
     cell = cfg.emitters.cells[0]
 
     def one(gamma: float):
-        lat = cfg.lattice.replace(gamma=gamma)
+        lat = replace(cfg.lattice, gamma=gamma)
         H = build_total_hamiltonian(lat, cfg.emitters)
         psi0 = excited_emitter_state(lat, cfg.emitters)
         traj = evolve(H, psi0, times, tol=cfg.tol)

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per headline capability, each printing a
 single PASS/FAIL line with the measured numbers."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_criterion_04_boundary_condition_insensitivity():
         ring = LatticeParams(n_cells, 1.0, 1.0, 1.0)
         lay = EmitterLayout(range(1, n_cells + 1), g)
         hp = heff_numeric(ring, lay).entries
-        ho = heff_numeric(ring.replace(boundary="open"), lay).entries
+        ho = heff_numeric(dataclasses.replace(ring, boundary="open"), lay).entries
         signs = np.ones((n_cells, n_cells))
         signs[np.triu_indices(n_cells, 1)] = (-1) ** (n_cells + 1)
         diff = np.max(np.abs(hp * signs - ho))
@@ -162,7 +164,7 @@ def test_criterion_09_spectral_boundary_sensitivity():
     ring = LatticeParams(64, 1.0, 2.0, 1.0)
     w = point_gap_winding(ring, band_centroid(ring, "upper"))
     try:
-        point_gap_winding(ring.replace(boundary="open"), 0.0)
+        point_gap_winding(dataclasses.replace(ring, boundary="open"), 0.0)
         obc_reports = False
     except ValueError:
         obc_reports = True  # OBC has no Bloch loop to wind

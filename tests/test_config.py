@@ -91,6 +91,37 @@ class TestParseConfig:
             cfg = parse_config(json.dumps(raw))
             assert parse_config(serialize_config(cfg)) == cfg, experiment
 
+    def test_serialization_keeps_read_keys_and_is_idempotent(self):
+        # every key set, none at its default: the text keeps exactly the keys
+        # the experiment reads, with their values, and is a fixed point
+        full = {"N": 9, "t1": 1.0, "t2": 1.0, "gamma": 2.0, "boundary": "open",
+                "g": 0.05, "cells": [3], "excited_emitter": 1, "t_max": 3.0,
+                "n_points": 31, "t_av": 3.0, "gamma_values": [1.0, 2.0],
+                "heff_method": "finite", "dressed_kind": "bulk",
+                "output_dir": "o", "tol": 1e-8}
+        common = {"experiment", "N", "t1", "t2", "gamma", "boundary",
+                  "output_dir", "tol", "gamma_values"}
+        emitters = {"g", "cells"}
+        cases = {
+            "spectrum": ({}, common),
+            "emit": ({}, common | emitters | {"t_max", "n_points", "t_av"}),
+            "transfer": ({"cells": [3, 4], "excited_emitter": 2},
+                         common | emitters | {"excited_emitter", "t_max",
+                                              "n_points"}),
+            "heff": ({}, common | emitters | {"heff_method"}),
+            "dressed": ({"dressed_kind": "edge", "cells": [9]},
+                        common | emitters | {"dressed_kind"}),
+            "sweep_gamma": ({}, common | emitters | {"t_max", "n_points", "t_av"}),
+        }
+        assert set(cases) == set(EXPERIMENTS)
+        for experiment, (extra, kept) in cases.items():
+            raw = dict(full, experiment=experiment, **extra)
+            text = serialize_config(parse_config(json.dumps(raw)))
+            flat = json.loads(text)
+            assert set(flat) == kept, experiment
+            assert flat == {k: raw[k] for k in kept}, experiment
+            assert serialize_config(parse_config(text)) == text, experiment
+
 
 _NAMES = ("spectrum", "emit", "transfer", "heff", "dressed", "sweep_gamma",
           "periodic", "open", "numeric", "finite", "asymptotic", "bulk", "edge")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -150,6 +152,21 @@ class TestLocalizationReport:
             localization_report(traj, 3, 50.0)
         with pytest.raises(ValueError):
             localization_report(traj, 99, 5.0)
+
+    def test_window_shorter_than_a_step(self):
+        # a window holding one sample has no time average (the trapezoid
+        # would divide 0 by 0); the rule is the config's t_av >= t_max/(n-1)
+        p, lay, H = _setup(n=6)
+        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 2, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time step"):
+                localization_report(traj, 3, 0.1)
+            with pytest.raises(ValueError, match="time step"):
+                localization_report(traj, 3, 0.5 - 1e-9)
+            rep = localization_report(traj, 3, 0.5)  # exactly one step
+        assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
+        assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
 
 
 class TestFitDecayRate:

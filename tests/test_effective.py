@@ -1,10 +1,12 @@
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
-                    greens_obc, greens_pbc, heff_closed_form, heff_numeric,
+                    greens_obc, heff_closed_form, heff_numeric,
                     interaction_range)
-from nhbath.effective import _poles
 
 
 def dense_resolvent_bb(params, m, n, energy=0.0):
@@ -22,81 +24,97 @@ def dense_resolvent_bb(params, m, n, energy=0.0):
     return x[params.b_index(m)]
 
 
-def dense_resolvent_block(params, n):
+def mp_resolvent_bb(params, digits=80, z="1e-40"):
+    """Oracle in extended precision: bb entries (rows = target cells) of
+    (z - H)^(-1) at a tiny real z, which also reaches the limit on the
+    singular even uniform rings."""
+    mp.mp.dps = digits
     H = build_bare_hamiltonian(params)
-    G = np.linalg.inv(-H)
-    i = 2 * (n % params.n_cells)
-    return G[i:i + 2, 0:2]
+    A = mp.mpf(z) * mp.eye(H.shape[0]) - mp.matrix(H.tolist())
+    G = mp.inverse(A)
+    b = [params.b_index(c) for c in range(1, params.n_cells + 1)]
+    return np.array([[complex(G[i, j]) for j in b] for i in b])
+
+
+def finite_bb(params):
+    """bb resolvent between every pair of cells, read from the finite
+    closed form with g = 1."""
+    lay = EmitterLayout(range(1, params.n_cells + 1), 1.0)
+    return heff_closed_form(params, lay, form="finite").entries
 
 
 class TestPoleData:
-    # in the uniform model w_minus is the per-cell decay factor
-    # kappa = (gamma - 2J)/(gamma + 2J) of the induced couplings
+    # in the uniform model the bb resolvent has the single pole 1/kappa:
+    # kappa = (gamma - 2J)/(gamma + 2J) is the per-cell ratio of the induced
+    # couplings, and interaction_range its 1/e length
     def test_uniform_model_poles(self):
-        w_minus, w_plus, _ = _poles(1.0, 1.0, 1.0)
-        assert w_plus == pytest.approx(-1.0)
-        assert w_minus == pytest.approx(-1.0 / 3.0)
-        assert w_minus == pytest.approx((1.0 - 2.0) / (1.0 + 2.0))
+        p = LatticeParams(41, 1.0, 1.0, 1.0)
+        kappa = (1.0 - 2.0) / (1.0 + 2.0)
+        for h in (heff_numeric(p, EmitterLayout(range(1, 42), 0.1)).entries,
+                  finite_bb(p)):
+            ratio = h[2:6, 0] / h[1:5, 0]
+            np.testing.assert_allclose(ratio, -1.0 / 3.0, rtol=1e-12)
+            np.testing.assert_allclose(ratio, kappa, rtol=1e-12)
+        assert interaction_range(1.0, 1.0) == pytest.approx(-1.0 / np.log(1 / 3))
 
     def test_kappa_vanishes_at_ep(self):
-        w_minus, _, _ = _poles(1.0, 1.0, 2.0)
-        assert abs(w_minus) < 1e-15
+        h = finite_bb(LatticeParams(9, 1.0, 1.0, 2.0))
+        assert np.count_nonzero(h[:, 0]) == 2  # self-energy, next cell only
+        assert np.all(h[2:, 0] == 0)
         assert interaction_range(2.0, 1.0) == 0.0
 
     def test_w_minus_inside_unit_circle(self):
-        for gamma in (0.3, 1.0, 2.0, 5.0):
-            w_minus, w_plus, _ = _poles(1.1, 0.9, gamma)
-            assert abs(w_minus) < 1.0 < abs(w_plus)
+        # |kappa| < 1 for every gamma > 0: the couplings decay to the right
+        for gamma in (0.3, 1.0, 3.0, 5.0):
+            h = finite_bb(LatticeParams(41, 1.0, 1.0, gamma))
+            ratio = np.abs(h[2:8, 0] / h[1:7, 0])
+            assert np.all(ratio < 1.0)
+            np.testing.assert_allclose(-1.0 / np.log(ratio),
+                                       interaction_range(gamma, 1.0), rtol=1e-12)
 
 
 class TestGreensPbc:
+    # the ring resolvent's bb entries, from heff_closed_form(form="finite"),
+    # against the dense solve at every cell offset
     @pytest.mark.parametrize("params", [
         LatticeParams(9, 1.0, 1.0, 1.0),
         LatticeParams(9, 1.0, 1.0, 0.5),
         LatticeParams(15, 1.0, 1.0, 4.0),
-        LatticeParams(7, 1.3, 0.8, 1.1),
-        LatticeParams(8, 1.0, 2.0, 0.5),   # even N is fine when t1 != t2
     ])
     def test_full_block_vs_dense_oracle(self, params):
-        for n in range(params.n_cells):
-            got = greens_pbc(params, n)
-            want = dense_resolvent_block(params, n)
-            np.testing.assert_allclose(got, want, atol=1e-11)
+        h = finite_bb(params)
+        for m in range(1, params.n_cells + 1):
+            for n in range(1, params.n_cells + 1):
+                want = dense_resolvent_bb(params, m, n)
+                assert h[m - 1, n - 1] == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("params", [
         LatticeParams(9, 1.0, 1.0, 2.0),
         LatticeParams(15, 1.0, 1.0, 2.0),
-        LatticeParams(7, 1.2, 0.7, 2.4),
     ])
     def test_confluent_pole_at_ep(self, params):
-        # gamma = 2*t1 merges two poles; the dedicated branch must stay exact
-        for n in range(params.n_cells):
-            got = greens_pbc(params, n)
-            want = dense_resolvent_block(params, n)
-            np.testing.assert_allclose(got, want, atol=1e-11)
+        # gamma = 2J: kappa = 0, the couplings stop after one cell
+        self.test_full_block_vs_dense_oracle(params)
 
     def test_frozen_value(self):
-        got = greens_pbc(LatticeParams(9, 1.0, 1.0, 1.0), 2)
-        assert got[1, 1] == pytest.approx(-0.14814062182483234j, abs=1e-12)
-        assert got[0, 1] == pytest.approx(0.07407031091241618, abs=1e-12)
-        assert got[0, 0] == pytest.approx(0.5370351554562081j, abs=1e-12)
+        p = LatticeParams(9, 1.0, 1.0, 1.0)
+        h = heff_closed_form(p, EmitterLayout([3, 1], 0.1), form="finite").entries
+        assert h[0, 1] == pytest.approx(0.1 ** 2 * -0.14814062182483234j, abs=1e-16)
 
     def test_even_uniform_ring_bb_limit(self):
-        # at even N with t1 == t2 the dense problem is singular; the residue
-        # sum limit equals the pseudoinverse value plus a uniform
-        # (-1)^n * i/(gamma*N) zero-mode shift
-        for n_cells, gamma in [(10, 1.0), (8, 0.5), (12, 4.0)]:
+        # at even N with t1 == t2 the dense problem is singular, but its
+        # q = pi zero mode lives on the a sublattice: the bb entries have a
+        # finite limit, the minimum-norm (lstsq) value
+        for n_cells, gamma in [(10, 1.0), (8, 0.5), (12, 4.0), (2, 1.0)]:
             p = LatticeParams(n_cells, 1.0, 1.0, gamma)
-            for n in range(n_cells):
-                got = greens_pbc(p, n)
-                shift = (-1) ** n * 1j / (gamma * n_cells)
-                want = dense_resolvent_bb(p, n + 1, 1) + shift
-                assert got[1, 1] == pytest.approx(want, abs=2e-8)
-                assert np.isnan(got[0, 0])  # other entries have no finite limit
+            h = finite_bb(p)
+            for m in range(1, n_cells + 1):
+                want = dense_resolvent_bb(p, m, 1)
+                assert h[m - 1, 0] == pytest.approx(want, abs=1e-13)
 
     def test_gamma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            greens_pbc(LatticeParams(9, 1.0, 1.0, 0.0), 1)
+        with pytest.raises(ValueError, match="gamma > 0"):
+            finite_bb(LatticeParams(9, 1.0, 1.0, 0.0))
 
 
 class TestGreensObc:
@@ -110,18 +128,23 @@ class TestGreensObc:
             for n in range(1, n_cells + 1):
                 got = greens_obc(p, m, n)
                 want = dense_resolvent_bb(p, m, n)
-                assert got == pytest.approx(want, abs=1e-7)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_generalized_hoppings(self):
+        # the closed form covers the uniform model only
         p = LatticeParams(7, 1.3, 0.8, 1.1, "open")
-        for m in range(1, 8):
-            for n in range(1, 8):
-                assert greens_obc(p, m, n) == pytest.approx(
-                    dense_resolvent_bb(p, m, n), abs=1e-11)
+        with pytest.raises(ValueError, match="t1 == t2"):
+            greens_obc(p, 2, 5)
 
     def test_frozen_value(self):
+        # 80-digit resolvent (mp_resolvent_bb)
         p = LatticeParams(9, 1.0, 1.0, 1.0, "open")
-        assert greens_obc(p, 5, 2) == pytest.approx(0.04938020773478684j, abs=1e-9)
+        assert greens_obc(p, 5, 2) == pytest.approx(0.04938020727494412j, abs=1e-16)
+        # the open-chain entry, whatever boundary the parameters name (at
+        # even N a leftward entry tells the two apart)
+        chain = LatticeParams(10, 1.0, 1.0, 1.0, "open")
+        ring = dataclasses.replace(chain, boundary="periodic")
+        assert greens_obc(ring, 2, 5) == greens_obc(chain, 2, 5)
 
     def test_cell_range_checked(self):
         p = LatticeParams(9, 1.0, 1.0, 1.0, "open")
@@ -129,6 +152,49 @@ class TestGreensObc:
             greens_obc(p, 0, 3)
         with pytest.raises(ValueError):
             greens_obc(p, 3, 10)
+        with pytest.raises(ValueError, match="gamma > 0"):
+            greens_obc(dataclasses.replace(p, gamma=0.0), 3, 3)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n_cells", [2, 3, 9, 10])
+    def test_finite_matches_extended_precision_resolvent(self, n_cells,
+                                                         boundary, gamma):
+        p = LatticeParams(n_cells, 1.0, 1.0, gamma, boundary)
+        want = mp_resolvent_bb(p)
+        got = finite_bb(p)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-15 * np.abs(want).max())
+
+
+class TestBoundaryInsensitivity:
+    # the induced couplings are translation invariant on the open chain too
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n_cells", [9, 10, 40])
+    def test_open_chain_numeric_is_toeplitz(self, n_cells, gamma):
+        p = LatticeParams(n_cells, 1.0, 1.0, gamma, "open")
+        h = heff_numeric(p, EmitterLayout(range(1, n_cells + 1), 0.1)).entries
+        np.testing.assert_allclose(h[1:, 1:], h[:-1, :-1], rtol=0,
+                                   atol=1e-13 * np.abs(h).max())
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n_cells", [9, 10])
+    def test_ep_is_hatano_nelson_chain(self, n_cells, boundary):
+        # gamma = 2J: self-energy, first subdiagonal and a corner carrying the
+        # wrap sign (-1)^(N+1) of the open chain, nothing else
+        p = LatticeParams(n_cells, 1.0, 1.0, 2.0, boundary)
+        lay = EmitterLayout(range(1, n_cells + 1), 0.1)
+        sigma = 1 if boundary == "periodic" else (-1) ** (n_cells + 1)
+        gam_eff = 0.1 ** 2 / 4
+        want = 1j * gam_eff * (np.diag(np.ones(n_cells - 1), -1)
+                               - np.eye(n_cells))
+        want[0, -1] = sigma * 1j * gam_eff
+        closed = heff_closed_form(p, lay, form="finite").entries
+        np.testing.assert_allclose(closed, want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(heff_numeric(p, lay).entries, want,
+                                   rtol=0, atol=1e-13 * gam_eff)
 
 
 class TestHeffNumeric:
@@ -143,9 +209,9 @@ class TestHeffNumeric:
                 assert mat.entries[i, j] == pytest.approx(want, abs=1e-14)
         # scattered, unsorted cells on both boundaries, both methods: row =
         # target, column = source, so a transposed or mis-gathered index fails
-        # (the odd ring keeps the closed form off the degenerate branch)
         lay = EmitterLayout([7, 2, 30, 15], 0.1)
         for p in (LatticeParams(41, 1.0, 1.0, 1.0),
+                  LatticeParams(40, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0, "open")):
             for mat in (heff_numeric(p, lay),
                         heff_closed_form(p, lay, form="finite")):
@@ -212,7 +278,9 @@ class TestHeffNumeric:
 
 
 class TestHeffClosedForm:
-    @pytest.mark.parametrize("n_cells", [5, 9, 15])
+    # the even rings (2, 10, 50) have one H_eff: the singular dense solve's
+    # minimum-norm branch is the finite closed form
+    @pytest.mark.parametrize("n_cells", [5, 9, 15, 2, 10, 50])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 4.0])
     def test_finite_matches_numeric(self, n_cells, gamma):
         p = LatticeParams(n_cells, 1.0, 1.0, gamma)
@@ -221,7 +289,7 @@ class TestHeffClosedForm:
         closed = heff_closed_form(p, lay, form="finite")
         assert closed.method == "closed_form_finite"
         scale = np.max(np.abs(num))
-        np.testing.assert_allclose(closed.entries, num, atol=1e-9 * scale)
+        np.testing.assert_allclose(closed.entries, num, atol=1e-13 * scale)
 
     def test_finite_obc_matches_numeric(self):
         for n_cells in (9, 10):
@@ -229,7 +297,7 @@ class TestHeffClosedForm:
             lay = EmitterLayout(range(1, n_cells + 1), 0.1)
             num = heff_numeric(p, lay).entries
             closed = heff_closed_form(p, lay, form="finite").entries
-            np.testing.assert_allclose(closed, num, atol=1e-6 * np.max(np.abs(num)))
+            np.testing.assert_allclose(closed, num, atol=1e-13 * np.max(np.abs(num)))
 
     def test_asymptotic_geometric_decay(self):
         p = LatticeParams(40, 1.0, 1.0, 1.0)
@@ -256,7 +324,7 @@ class TestHeffClosedForm:
         for n_cells in (9, 10):
             sign = (-1) ** (n_cells + 1)
             ring = LatticeParams(n_cells, 1.0, 1.0, 1.0)
-            chain = ring.replace(boundary="open")
+            chain = dataclasses.replace(ring, boundary="open")
             lay = EmitterLayout(range(1, n_cells + 1), 0.05)
             hp = heff_closed_form(ring, lay, form="asymptotic").entries
             ho = heff_closed_form(chain, lay, form="asymptotic").entries

@@ -1,5 +1,5 @@
-"""Static checks of the package source: every import is used and the public
-surface names each object once."""
+"""Static checks of the package source: every import and every module-level
+private name is used, and the public surface names each object once."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -40,6 +40,43 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unused_imports(tree) == []
+
+
+def _module_private_names(tree):
+    """Private (single-underscore) names bound at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names read in a module: loads, attributes and imported names."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_unreferenced_private_names():
+    # a private helper, constant or class that no module of the package reads
+    # is a leftover of code that was deleted around it
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    unused = [f"{name}: {n}" for name, tree in trees.items()
+              for n in sorted(_module_private_names(tree) - used)]
+    assert unused == []
 
 
 def test_public_names_resolve_once():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,10 +36,14 @@ class TestLatticeParams:
             p.check_cell(0)
 
     def test_replace(self):
+        # callers vary one parameter with dataclasses.replace, which
+        # validates the new value
         p = LatticeParams(5, 1.0, 1.0, 1.0)
-        q = p.replace(gamma=2.0, boundary="open")
+        q = dataclasses.replace(p, gamma=2.0, boundary="open")
         assert q.gamma == 2.0 and q.boundary == "open"
         assert p.gamma == 1.0  # original untouched
+        with pytest.raises(ValueError, match="gamma"):
+            dataclasses.replace(p, gamma=-1.0)
 
 
 class TestEmitterLayout:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ class TestBlochSpectrum:
         # trace: sum of imaginary parts equals -N*gamma under both boundaries
         p = LatticeParams(10, 1.0, 1.0, 1.5)
         assert bloch_spectrum(p).eigenvalues.imag.sum() == pytest.approx(-15.0)
-        po = p.replace(boundary="open")
+        po = dataclasses.replace(p, boundary="open")
         assert obc_spectrum(po).eigenvalues.imag.sum() == pytest.approx(-15.0)
 
     def test_requires_periodic(self):
