@@ -57,7 +57,10 @@ def _spectrum_files(cfg: ExperimentConfig) -> dict:
         evs, label = res.eigenvalues, res.q_values
     else:
         res = obc_spectrum(cfg.lattice)
-        evs = res.eigenvalues[np.argsort(res.eigenvalues.real, kind="stable")]
+        # by real part, ties by imaginary part: above the exceptional point
+        # eigenvalues pair up with equal real parts
+        evs = res.eigenvalues[np.lexsort((res.eigenvalues.imag,
+                                          res.eigenvalues.real))]
         label = np.arange(evs.size)
     return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"),
                                  (evs.real, evs.imag, [res.boundary] * evs.size,

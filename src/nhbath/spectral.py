@@ -5,9 +5,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
+# re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name
+# here, although open-chain spectra no longer assemble the dense Hamiltonian
 from .lattice import build_bare_hamiltonian
 from .params import LatticeParams
+
+__all__ = ["SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
+           "band_centroid", "point_gap_winding", "build_bare_hamiltonian"]
 
 
 def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
@@ -32,18 +38,20 @@ def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
 class SpectrumResult:
     """Complex eigenvalues of the array, with non-normality diagnostics.
 
-    `defectivity` is the reciprocal condition number (smallest over largest
-    singular value) of the right-eigenvector matrix; it drops to ~0 when the
-    spectrum becomes defective.  For periodic spectra assembled from Bloch
-    blocks, `q_values` holds the quasimomentum of each eigenvalue and the
-    defectivity is the worst over all blocks.
+    `defectivity` drops to 0 where the spectrum becomes defective.  For
+    periodic spectra assembled from Bloch blocks it is the worst reciprocal
+    condition number (smallest over largest singular value) of a block's
+    eigenvector matrix, and `q_values` holds the quasimomentum of each
+    eigenvalue.  For the open chain it is 1/cond(S) =
+    |(t1 - gamma/2)/(t1 + gamma/2)|^(N/2), where S is the diagonal
+    similarity of the imaginary gauge (see `obc_spectrum`): exactly 0 at the
+    exceptional point gamma = 2*t1 and 1 without loss.
     """
 
     eigenvalues: np.ndarray
     boundary: str
     defectivity: float
     q_values: Optional[np.ndarray] = None
-    right_vectors: Optional[np.ndarray] = None
 
 
 def _defectivity(vectors: np.ndarray) -> float:
@@ -67,14 +75,34 @@ def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
 
 
 def obc_spectrum(params: LatticeParams) -> SpectrumResult:
-    """Spectrum of the finite open chain from the dense real-space
-    Hamiltonian; column k of `right_vectors` is the right eigenvector of
-    eigenvalue k."""
+    """Spectrum of the finite open chain from its imaginary-gauge chain.
+
+    The chain in the mapped picture (`build_mapped_hamiltonian`: intra-cell
+    hoppings t1 +- gamma/2, inter-cell t2, on-site -i*gamma/2) is
+    tridiagonal, so a diagonal similarity leaves its spectrum a function of
+    the hopping products p = t1^2 - gamma^2/4 and t2^2 alone (Hatano &
+    Nelson, PRL 77, 570 (1996); Yao & Wang, PRL 121, 086803 (2018)).  For
+    p >= 0 the gauge chain with intra-cell hopping sqrt(p) is real symmetric
+    and `eigh_tridiagonal` solves it in O(N^2); at p = 0, the exceptional
+    point, it splits into dimers.  For p < 0 the real chain with intra-cell
+    hoppings +sqrt(-p) and -sqrt(-p), similar by a diagonal unitary to the
+    complex-symmetric gauge chain, goes to dense `eigvals`.  The uniform
+    shift -i*gamma/2 is added last.
+    """
     if params.periodic:
         raise ValueError("obc_spectrum requires open boundary conditions")
-    evs, right = np.linalg.eig(build_bare_hamiltonian(params))
-    return SpectrumResult(evs, params.boundary, _defectivity(right),
-                          right_vectors=right)
+    n, t1, gamma = params.n_cells, params.t1, params.gamma
+    p = t1 ** 2 - gamma ** 2 / 4
+    off = np.full(2 * n - 1, params.t2, dtype=float)
+    off[0::2] = np.sqrt(abs(p))
+    if p >= 0:
+        evs = eigh_tridiagonal(np.zeros(2 * n), off, eigvals_only=True)
+    else:
+        lower = off.copy()
+        lower[0::2] *= -1
+        evs = np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1))
+    defect = abs((t1 - gamma / 2) / (t1 + gamma / 2)) ** (n / 2)
+    return SpectrumResult(evs - 0.5j * gamma, params.boundary, defect)
 
 
 def band_centroid(params: LatticeParams, band: str = "upper",

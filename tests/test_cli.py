@@ -1,10 +1,15 @@
+import csv
 import hashlib
 import json
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhbath import (EmitterLayout, LatticeParams, __version__, parse_config,
                     run_experiment, weak_coupling_warnings)
@@ -189,6 +194,46 @@ class TestCli:
         if code:
             assert "experiment" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def _small_chain(draw):
+    """Spectrum config of a short non-uniform chain, N = 1 (rejected) to 6;
+    gamma in [0, 4] with its ends and the exceptional point 2*t1 drawn
+    explicitly."""
+    t1 = draw(st.floats(0.1, 2.0))
+    t2 = draw(st.floats(0.1, 2.0).filter(lambda t: t != t1))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 4.0, 2 * t1]),
+                           st.floats(0.0, 4.0)))
+    return dict(N=draw(st.integers(1, 6)), t1=t1, t2=t2, gamma=gamma,
+                boundary=draw(st.sampled_from(["open", "periodic"])),
+                experiment="spectrum")
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(raw=_small_chain())
+def test_spectrum_cli_exits_0_with_a_passive_spectrum_or_2_writing_nothing(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        cfg = write_config(Path(tmp), output_dir=out, **raw)
+        code = main(["spectrum", "--config", cfg])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        with open(os.path.join(out, "spectrum.csv"), encoding="utf-8") as fh:
+            header, *body = list(csv.reader(fh))
+    assert header == ["re_E", "im_E", "boundary", "q_or_index"]
+    assert len(body) == 2 * raw["N"]
+    assert {row[2] for row in body} == {raw["boundary"]}
+    re, im, label = np.array([(r[0], r[1], r[3]) for r in body], dtype=float).T
+    assert np.isfinite(re).all() and np.isfinite(im).all()
+    assert im.max() <= 1e-12  # passive: no mode grows
+    if raw["boundary"] == "open":  # by real part, ties by imaginary part
+        np.testing.assert_array_equal(np.lexsort((im, re)), np.arange(re.size))
+        np.testing.assert_array_equal(label, np.arange(re.size))
+    else:  # Bloch order: by quasimomentum
+        assert (np.diff(label) >= 0).all()
 
 
 class TestRunExperiment:

@@ -5,6 +5,11 @@ import pytest
 
 from nhbath import (LatticeParams, band_centroid, bloch_matrix, bloch_spectrum,
                     build_bare_hamiltonian, obc_spectrum, point_gap_winding)
+from oracles import dense_obc_eig, hausdorff, mp_obc_eigenvalues
+
+# (t1, t2) of the open-chain checks: uniform (as integers, which the chain
+# must read as floats), t1 < t2 and t1 > t2
+HOPPINGS = [(1, 1), (0.7, 1.3), (1.5, 0.6)]
 
 
 def _sorted_multiset(evs):
@@ -66,14 +71,51 @@ class TestBlochSpectrum:
 
 
 class TestDenseSpectrum:
-    def test_left_right_pairing(self):
-        p = LatticeParams(7, 1.0, 1.0, 1.1, "open")
-        res = obc_spectrum(p)
-        H = build_bare_hamiltonian(p)
-        assert res.eigenvalues.size == 14
-        for k in range(res.eigenvalues.size):
-            r = res.right_vectors[:, k]
-            assert np.linalg.norm(H @ r - res.eigenvalues[k] * r) < 1e-10
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("ratio", [0.5, 1.9, 2.5, 4.0])  # gamma / t1
+    @pytest.mark.parametrize("t1, t2", HOPPINGS)
+    def test_matches_dense_oracle(self, t1, t2, ratio, n):
+        # gamma on both sides of the exceptional point 2*t1; dense eig is
+        # accurate on chains this short
+        p = LatticeParams(n, t1, t2, ratio * t1, "open")
+        got = obc_spectrum(p).eigenvalues
+        assert got.shape == (2 * n,)
+        assert hausdorff(got, dense_obc_eig(p)[0]) < 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.9, 2.5, 4.0])
+    def test_matches_extended_precision(self, gamma):
+        p = LatticeParams(6, 1.0, 1.0, gamma, "open")
+        assert hausdorff(obc_spectrum(p).eigenvalues,
+                         mp_obc_eigenvalues(p)) < 1e-13
+
+    @pytest.mark.parametrize("t1, t2, n", [(1, 1, 10), (0.7, 1.3, 7),
+                                           (1.5, 0.6, 2), (0.3, 2.2, 400)])
+    def test_exceptional_point_is_dimers(self, t1, t2, n):
+        # at gamma = 2*t1 the gauge chain splits into an isolated site at
+        # each end and N - 1 dimers of hopping t2
+        got = obc_spectrum(LatticeParams(n, t1, t2, 2 * t1, "open")).eigenvalues
+        want = np.r_[np.full(n - 1, -t2), 0.0, 0.0, np.full(n - 1, t2)] - 1j * t1
+        np.testing.assert_array_equal(np.sort_complex(got), want)
+
+    def test_passive_above_exceptional_point(self):
+        # the p < 0 branch: no eigenvalue may grow, over gamma in (2, 4]
+        worst = max(obc_spectrum(LatticeParams(400, 1.0, 1.0, g, "open"))
+                    .eigenvalues.imag.max()
+                    for g in np.linspace(2.0, 4.0, 21)[1:])
+        assert worst <= 0.0
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 1.5, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("t1, t2", HOPPINGS)
+    def test_defectivity_tracks_eigenvector_condition(self, t1, t2, ratio, n):
+        # the closed form 1/cond(S) against the reciprocal condition number
+        # of the dense unit-eigenvector matrix, away from the exceptional point
+        p = LatticeParams(n, t1, t2, ratio * t1, "open")
+        closed = obc_spectrum(p).defectivity
+        assert closed == pytest.approx(
+            abs((2 * t1 - ratio * t1) / (2 * t1 + ratio * t1)) ** (n / 2))
+        s = np.linalg.svd(dense_obc_eig(p)[1], compute_uv=False)
+        assert 0.1 <= (s[-1] / s[0]) / closed <= 10
 
     def test_obc_requires_open(self):
         with pytest.raises(ValueError):
