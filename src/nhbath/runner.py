@@ -74,15 +74,17 @@ def _trajectory_files(cfg: ExperimentConfig, excited: int) -> dict:
     pops = emitter_populations(traj)
     dens = photon_density(traj)
 
-    def samples(values):  # (t, 0-based column, value) rows, time-major
-        n_steps, width = values.shape
-        return (np.repeat(traj.times, width), np.tile(np.arange(width), n_steps),
-                values.ravel())
+    ts = [repr(t) for t in traj.times.tolist()]
 
-    t, i, p = samples(pops)
+    def samples(values, first):  # (t, index, value) rows, time-major
+        n_steps, width = values.shape
+        # each distinct time and index is formatted once, as _csv would
+        idx = [repr(float(k)) for k in range(first, first + width)]
+        return [s for s in ts for _ in range(width)], idx * n_steps, values.ravel()
+
     files = {
-        "populations.csv": _csv(("t", "emitter_index", "p"), (t, i + 1, p)),
-        "density.csv": _csv(("t", "site_index", "density"), samples(dens)),
+        "populations.csv": _csv(("t", "emitter_index", "p"), samples(pops, 1)),
+        "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
     }
     if cfg.experiment == "emit":
         rep = localization_report(traj, cfg.emitters.cells[0], cfg.t_av)

@@ -28,12 +28,12 @@ def mp_resolvent_bb(params, digits=80, z="1e-40"):
     """Oracle in extended precision: bb entries (rows = target cells) of
     (z - H)^(-1) at a tiny real z, which also reaches the limit on the
     singular even uniform rings."""
-    mp.mp.dps = digits
     H = build_bare_hamiltonian(params)
-    A = mp.mpf(z) * mp.eye(H.shape[0]) - mp.matrix(H.tolist())
-    G = mp.inverse(A)
     b = [params.b_index(c) for c in range(1, params.n_cells + 1)]
-    return np.array([[complex(G[i, j]) for j in b] for i in b])
+    with mp.workdps(digits):
+        A = mp.mpf(z) * mp.eye(H.shape[0]) - mp.matrix(H.tolist())
+        G = mp.inverse(A)
+        return np.array([[complex(G[i, j]) for j in b] for i in b])
 
 
 def finite_bb(params):
@@ -167,6 +167,11 @@ class TestExactness:
         got = finite_bb(p)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-15 * np.abs(want).max())
+
+    def test_oracle_keeps_global_precision(self):
+        dps = mp.mp.dps
+        mp_resolvent_bb(LatticeParams(3, 1.0, 1.0, 1.0, "open"))
+        assert mp.mp.dps == dps
 
 
 class TestBoundaryInsensitivity:

@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nhbath.runner
+from nhbath import emitter_populations, parse_config, photon_density, run_experiment
 from nhbath.runner import _csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +25,46 @@ class TestCsv:
         assert got == want
         assert got.splitlines()[4] == "s3,3.0,1e+16"
         assert got.splitlines()[1] == "s0,0.0,-0.0"
+
+
+def _oracle_rows(times, values, first):
+    """(t, index, value) rows, time-major, every field repr(float(x))."""
+    return "".join(f"{repr(float(t))},{repr(float(first + i))},{repr(float(v))}\n"
+                   for t, row in zip(times, values) for i, v in enumerate(row))
+
+
+class TestTrajectoryFiles:
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("experiment, cells, excited", [
+        ("emit", [3], 1), ("transfer", [2, 5], 2)])
+    def test_matches_row_wise_oracle(self, tmp_path, monkeypatch, experiment,
+                                     cells, excited, negative_zero):
+        raw = {"experiment": experiment, "N": 6, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "boundary": "open", "g": 0.1, "cells": cells,
+               "excited_emitter": excited, "t_max": 3.0, "n_points": 7,
+               "t_av": 3.0, "output_dir": str(tmp_path)}
+        evolve, trajs = nhbath.runner.evolve, []
+
+        def evolve_spy(*args, **kwargs):
+            trajs.append(evolve(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(nhbath.runner, "evolve", evolve_spy)
+        if negative_zero:  # evolve accepts a grid that starts at -0.0
+            monkeypatch.setattr(nhbath.runner, "_time_grid", lambda cfg: np.r_[
+                -0.0, np.linspace(0.0, cfg.t_max, cfg.n_points)[1:]])
+        run_experiment(parse_config(json.dumps(raw)))
+        (traj,) = trajs
+        first = "-0.0" if negative_zero else "0.0"
+        pops = (tmp_path / "populations.csv").read_text()
+        assert pops == "t,emitter_index,p\n" + _oracle_rows(
+            traj.times, emitter_populations(traj), 1)
+        assert pops.splitlines()[excited] == f"{first},{excited}.0,1.0"
+        dens = (tmp_path / "density.csv").read_text()
+        assert dens == "t,site_index,density\n" + _oracle_rows(
+            traj.times, photon_density(traj), 0)
+        assert dens.splitlines()[1] == f"{first},0.0,0.0"
+        assert dens.splitlines()[13].startswith("0.5,0.0,")
 
 
 def _traced_names():
