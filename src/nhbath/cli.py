@@ -6,18 +6,11 @@ import json
 import sys
 
 from . import __version__
-from .config import ConfigError, parse_config
+from .config import EXPERIMENTS, ConfigError, parse_config
 from .params import weak_coupling_warnings
 from .runner import run_experiment
 
-_SUBCOMMANDS = {
-    "spectrum": "spectrum",
-    "emit": "emit",
-    "transfer": "transfer",
-    "heff": "heff",
-    "dressed": "dressed",
-    "sweep-gamma": "sweep_gamma",
-}
+_SUBCOMMANDS = {e.replace("_", "-"): e for e in EXPERIMENTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,20 @@ from typing import Optional
 from .dressed import _require_directional
 from .params import BOUNDARIES, EmitterLayout, LatticeParams
 
-EXPERIMENTS = ("spectrum", "emit", "transfer", "heff", "dressed", "sweep_gamma")
+# experiment -> the keys it reads beyond the lattice keys, output_dir, tol
+# and any gamma_values given; an experiment that reads cells has emitters
+_READS = {
+    "spectrum": (),
+    "emit": ("g", "cells", "t_max", "n_points", "t_av"),
+    "transfer": ("g", "cells", "excited_emitter", "t_max", "n_points"),
+    "heff": ("g", "cells", "heff_method"),
+    "dressed": ("g", "cells", "dressed_kind"),
+    "sweep_gamma": ("g", "cells", "t_max", "n_points", "t_av", "gamma_values"),
+}
+EXPERIMENTS = tuple(_READS)
+# kept in the canonical text of every experiment (gamma_values when given)
+_COMMON = ("experiment", "N", "t1", "t2", "gamma", "boundary", "output_dir",
+           "tol", "gamma_values")
 
 # every legal flat key -> short description (doubles as the schema doc)
 KNOWN_KEYS = {
@@ -33,6 +46,25 @@ KNOWN_KEYS = {
     "tol": "numerical tolerance for propagation checks (> 0)",
 }
 
+# numeric key -> (integer only, lower bound, bound excluded)
+_NUMBERS = {
+    "N": (True, 2, False),
+    "t1": (False, 0, True),
+    "t2": (False, 0, True),
+    "gamma": (False, 0, False),
+    "g": (False, 0, True),
+    "excited_emitter": (True, 1, False),
+    "t_max": (False, 0, True),
+    "n_points": (True, 2, False),
+    "t_av": (False, 0, True),
+    "tol": (False, 0, True),
+}
+_CHOICES = {
+    "experiment": EXPERIMENTS,
+    "boundary": BOUNDARIES,
+    "heff_method": ("numeric", "finite", "asymptotic"),
+    "dressed_kind": ("bulk", "edge"),
+}
 _DEFAULTS = {
     "boundary": "periodic",
     "excited_emitter": 1,
@@ -44,8 +76,6 @@ _DEFAULTS = {
     "output_dir": "out",
     "tol": 1e-9,
 }
-
-_NEEDS_EMITTERS = ("emit", "transfer", "heff", "dressed", "sweep_gamma")
 
 
 class ConfigError(ValueError):
@@ -73,33 +103,29 @@ class ExperimentConfig:
     tol: float
 
     def flat_dict(self) -> dict:
-        d = {
+        lat, em = self.lattice, self.emitters
+        values = {
             "experiment": self.experiment,
-            "N": self.lattice.n_cells,
-            "t1": self.lattice.t1,
-            "t2": self.lattice.t2,
-            "gamma": self.lattice.gamma,
-            "boundary": self.lattice.boundary,
+            "N": lat.n_cells,
+            "t1": lat.t1,
+            "t2": lat.t2,
+            "gamma": lat.gamma,
+            "boundary": lat.boundary,
+            "g": None if em is None else em.g,
+            "cells": None if em is None else list(em.cells),
+            "excited_emitter": self.excited_emitter,
+            "t_max": self.t_max,
+            "n_points": self.n_points,
+            "t_av": self.t_av,
+            "gamma_values": (None if self.gamma_values is None
+                             else list(self.gamma_values)),
+            "heff_method": self.heff_method,
+            "dressed_kind": self.dressed_kind,
             "output_dir": self.output_dir,
             "tol": self.tol,
         }
-        if self.emitters is not None:
-            d["g"] = self.emitters.g
-            d["cells"] = list(self.emitters.cells)
-        if self.experiment == "transfer":
-            d["excited_emitter"] = self.excited_emitter
-        if self.experiment in ("emit", "transfer", "sweep_gamma"):
-            d["t_max"] = self.t_max
-            d["n_points"] = self.n_points
-        if self.experiment in ("emit", "sweep_gamma"):
-            d["t_av"] = self.t_av
-        if self.gamma_values is not None:
-            d["gamma_values"] = list(self.gamma_values)
-        if self.experiment == "heff":
-            d["heff_method"] = self.heff_method
-        if self.experiment == "dressed":
-            d["dressed_kind"] = self.dressed_kind
-        return d
+        keep = _COMMON + _READS[self.experiment]
+        return {k: v for k, v in values.items() if k in keep and v is not None}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -107,9 +133,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
     The lattice keys, `output_dir`, `tol` and any `gamma_values` given are
     always kept; the other keys only for the experiments that read them (see
-    `ExperimentConfig.flat_dict`).  An ignored key is dropped, so parsing the
-    text can give a config that holds the default there, but serialization
-    is idempotent: serialize(parse(serialize(cfg))) == serialize(cfg).
+    `_READS`).  An ignored key is dropped, so parsing the text can give a
+    config that holds the default there, but serialization is idempotent:
+    serialize(parse(serialize(cfg))) == serialize(cfg).
     """
     return json.dumps(cfg.flat_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -122,25 +148,17 @@ def _finite(val) -> bool:
         return False
 
 
-def _check_number(raw, key, problems, *, integer=False, minimum=None,
-                  strict=False):
-    val = raw.get(key)
-    if val is None:
-        return None
+def _number_problem(val, integer, minimum, strict) -> Optional[str]:
+    """What is wrong with a given number under its rule (see `_NUMBERS`)."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(f"{key}: expected a number, got {val!r}")
-        return None
+        return f"expected a number, got {val!r}"
     if integer and not isinstance(val, int):
-        problems.append(f"{key}: expected an integer, got {val!r}")
-        return None
+        return f"expected an integer, got {val!r}"
     if not _finite(val):
-        problems.append(f"{key}: must be a finite number, got {val!r}")
-        return None
-    if minimum is not None and (val <= minimum if strict else val < minimum):
-        op = ">" if strict else ">="
-        problems.append(f"{key}: must be {op} {minimum}, got {val!r}")
-        return None
-    return val
+        return f"must be a finite number, got {val!r}"
+    if val <= minimum if strict else val < minimum:
+        return f"must be {'>' if strict else '>='} {minimum}, got {val!r}"
+    return None
 
 
 def _model_problems(experiment, lattice, emitters, heff_method,
@@ -173,7 +191,11 @@ def _model_problems(experiment, lattice, emitters, heff_method,
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat JSON config, reporting every problem at once."""
+    """Parse and validate a flat JSON config, reporting every problem at once.
+
+    Every key given is checked by its own rule, whatever the experiment; the
+    rules that join keys apply only where the experiment reads them.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -181,116 +203,88 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top-level JSON value must be an object"])
 
-    problems = []
-    for key in sorted(set(raw) - set(KNOWN_KEYS)):
-        problems.append(f"unknown key {key!r}")
+    problems = [f"unknown key {key!r}" for key in sorted(set(raw) - set(KNOWN_KEYS))]
+    # a key's value, or its default (None if it has none) when the key is
+    # absent, null or, for a number, invalid; an invalid choice is None
+    val = {}
+    for key, rule in _NUMBERS.items():
+        problem = None if raw.get(key) is None else _number_problem(raw[key], *rule)
+        if problem:
+            problems.append(f"{key}: {problem}")
+        val[key] = _DEFAULTS.get(key) if raw.get(key) is None or problem else raw[key]
+    for key, allowed in _CHOICES.items():
+        val[key] = raw.get(key, _DEFAULTS.get(key))
+        if val[key] not in allowed and (val[key] is not None or key in _DEFAULTS):
+            problems.append(f"{key}: must be one of {allowed}, got {val[key]!r}")
+            val[key] = None
+    cells = raw.get("cells")
+    if cells is not None and (
+            not isinstance(cells, list) or len(cells) == 0
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in cells)):
+        problems.append(f"cells: expected a non-empty list of integers, got {cells!r}")
+        cells = None
+    experiment = val["experiment"]
+    reads = _READS.get(experiment, ())
+    gamma_values = raw.get("gamma_values")
+    if gamma_values is not None and (
+            not isinstance(gamma_values, list)
+            or (not gamma_values and "gamma_values" in reads)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and _finite(v) and v >= 0 for v in gamma_values)):
+        problems.append("gamma_values: expected a non-empty list of finite "
+                        f"reals >= 0, got {gamma_values!r}")
+        gamma_values = None
+    output_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
+    if not isinstance(output_dir, str) or not output_dir:
+        problems.append(f"output_dir: expected a non-empty string, got {output_dir!r}")
 
-    experiment = raw.get("experiment")
-    if experiment is None:
-        problems.append("experiment: required")
-    elif experiment not in EXPERIMENTS:
-        problems.append(f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}")
-        experiment = None
-
-    n = _check_number(raw, "N", problems, integer=True, minimum=2)
-    t1 = _check_number(raw, "t1", problems, minimum=0, strict=True)
-    t2 = _check_number(raw, "t2", problems, minimum=0, strict=True)
-    gamma = _check_number(raw, "gamma", problems, minimum=0)
-    for key in ("N", "t1", "t2", "gamma"):
+    for key in ("experiment", "N", "t1", "t2", "gamma"):
         if raw.get(key) is None:
             problems.append(f"{key}: required")
-    boundary = raw.get("boundary", _DEFAULTS["boundary"])
-    if boundary not in BOUNDARIES:
-        problems.append(f"boundary: must be one of {BOUNDARIES}, got {boundary!r}")
-        boundary = None
+    for key in reads:
+        if key not in _DEFAULTS and raw.get(key) is None:
+            problems.append(f"{key}: required for experiment {experiment}")
 
+    n = val["N"]
     lattice = None
-    if None not in (n, t1, t2, gamma, boundary):
+    if None not in (n, val["t1"], val["t2"], val["gamma"], val["boundary"]):
         try:
-            lattice = LatticeParams(n, float(t1), float(t2), float(gamma), boundary)
+            lattice = LatticeParams(n, float(val["t1"]), float(val["t2"]),
+                                    float(val["gamma"]), val["boundary"])
         except ValueError as exc:
             problems.append(str(exc))
 
     emitters = None
-    if experiment in _NEEDS_EMITTERS:
-        g = _check_number(raw, "g", problems, minimum=0, strict=True)
-        cells = raw.get("cells")
-        if raw.get("g") is None:
-            problems.append("g: required for experiment " + experiment)
-        if cells is None:
-            problems.append("cells: required for experiment " + experiment)
-        elif (not isinstance(cells, list) or len(cells) == 0
-              or not all(isinstance(c, int) and not isinstance(c, bool) for c in cells)):
-            problems.append(f"cells: expected a non-empty list of integers, got {cells!r}")
-            cells = None
-        if cells is not None and g is not None:
-            try:
-                emitters = EmitterLayout(cells, float(g))
-            except ValueError as exc:
-                problems.append(f"cells/g: {exc}")
-        if emitters is not None and n is not None:
-            bad = [c for c in emitters.cells if not 1 <= c <= n]
-            if bad:
-                problems.append(f"cells: {bad} out of range 1..{n}")
-        if experiment == "transfer" and emitters is not None and emitters.n_emitters < 2:
+    if "cells" in reads and cells is not None and val["g"] is not None:
+        try:
+            emitters = EmitterLayout(cells, float(val["g"]))
+        except ValueError as exc:
+            problems.append(f"cells/g: {exc}")
+    if emitters is not None:
+        bad = [c for c in emitters.cells if n is not None and not 1 <= c <= n]
+        if bad:
+            problems.append(f"cells: {bad} out of range 1..{n}")
+        if experiment == "transfer" and emitters.n_emitters < 2:
             problems.append("cells: transfer needs at least two emitters")
-        if experiment in ("dressed", "sweep_gamma", "emit") and emitters is not None \
+        if experiment in ("dressed", "sweep_gamma", "emit") \
                 and emitters.n_emitters != 1:
             problems.append(f"cells: experiment {experiment} takes exactly one emitter")
+        if val["excited_emitter"] > emitters.n_emitters:
+            problems.append(f"excited_emitter: {val['excited_emitter']} "
+                            "exceeds the number of emitters")
 
-    excited = _check_number(raw, "excited_emitter", problems, integer=True, minimum=1)
-    if excited is None:
-        excited = _DEFAULTS["excited_emitter"]
-    elif emitters is not None and excited > emitters.n_emitters:
-        problems.append(f"excited_emitter: {excited} exceeds the number of emitters")
-
-    t_max = _check_number(raw, "t_max", problems, minimum=0, strict=True)
-    if t_max is None:
-        t_max = _DEFAULTS["t_max"]
-    n_points = _check_number(raw, "n_points", problems, integer=True, minimum=2)
-    if n_points is None:
-        n_points = _DEFAULTS["n_points"]
-    t_av = _check_number(raw, "t_av", problems, minimum=0, strict=True)
-    if t_av is None:
-        t_av = _DEFAULTS["t_av"]
-    if experiment in ("emit", "sweep_gamma"):
-        step = t_max / (n_points - 1)
+    if "t_av" in reads:
+        t_max, t_av = val["t_max"], val["t_av"]
+        step = t_max / (val["n_points"] - 1)
         if t_av > t_max:
             problems.append(f"t_av: averaging window {t_av} exceeds t_max {t_max}")
         elif t_av + 1e-12 < step:
             problems.append(f"t_av: averaging window {t_av} is shorter than "
                             f"the time step {step}")
-    tol = _check_number(raw, "tol", problems, minimum=0, strict=True)
-    if tol is None:
-        tol = _DEFAULTS["tol"]
-
-    gamma_values = raw.get("gamma_values")
-    sweep = experiment == "sweep_gamma"
-    if gamma_values is None:
-        if sweep:
-            problems.append("gamma_values: required for experiment sweep_gamma")
-    elif (not isinstance(gamma_values, list) or (sweep and not gamma_values)
-          or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     and _finite(v) and v >= 0 for v in gamma_values)):
-        problems.append("gamma_values: expected a non-empty list of finite "
-                        f"reals >= 0, got {gamma_values!r}")
-        gamma_values = None
-
-    heff_method = raw.get("heff_method", _DEFAULTS["heff_method"])
-    if heff_method not in ("numeric", "finite", "asymptotic"):
-        problems.append("heff_method: must be 'numeric', 'finite' or "
-                        f"'asymptotic', got {heff_method!r}")
-    dressed_kind = raw.get("dressed_kind", _DEFAULTS["dressed_kind"])
-    if dressed_kind not in ("bulk", "edge"):
-        problems.append(f"dressed_kind: must be 'bulk' or 'edge', got {dressed_kind!r}")
 
     if lattice is not None and emitters is not None:
         problems += _model_problems(experiment, lattice, emitters,
-                                    heff_method, dressed_kind)
-
-    output_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append(f"output_dir: expected a non-empty string, got {output_dir!r}")
+                                    val["heff_method"], val["dressed_kind"])
 
     if problems:
         raise ConfigError(problems)
@@ -298,13 +292,13 @@ def parse_config(text: str) -> ExperimentConfig:
         experiment=experiment,
         lattice=lattice,
         emitters=emitters,
-        excited_emitter=int(excited),
-        t_max=float(t_max),
-        n_points=int(n_points),
-        t_av=float(t_av),
+        excited_emitter=int(val["excited_emitter"]),
+        t_max=float(val["t_max"]),
+        n_points=int(val["n_points"]),
+        t_av=float(val["t_av"]),
         gamma_values=tuple(float(v) for v in gamma_values) if gamma_values else None,
-        heff_method=heff_method,
-        dressed_kind=dressed_kind,
+        heff_method=val["heff_method"],
+        dressed_kind=val["dressed_kind"],
         output_dir=output_dir,
-        tol=float(tol),
+        tol=float(val["tol"]),
     )

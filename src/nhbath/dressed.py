@@ -76,11 +76,12 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
         raise ValueError("g must be positive")
     N, gamma = params.n_cells, params.gamma
     c = g / (np.sqrt(2) * gamma)
+    ph = (-1) ** (N + np.arange(1, N + 1))
     amps = np.zeros(params.n_modes, dtype=complex)
-    for n in range(1, N + 1):
-        ph = (-1) ** (N + n)
-        amps[params.a_index(n)] = -c * ph * (2 if n == 1 else 1)
-        amps[params.b_index(n)] = -1j * c * ph * (2 if n == N else 1)
+    amps[0::2] = -c * ph  # alpha of cells 1..N
+    amps[1::2] = -1j * c * ph  # beta of cells 1..N
+    amps[0] *= 2
+    amps[-1] *= 2
     state = SingleExcitationState(np.array([1.0 + 0.0j]), amps, MAPPED)
     return DressedState(state, -1j * g ** 2 / (4 * j), N, "edge", g)
 

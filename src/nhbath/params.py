@@ -161,11 +161,11 @@ class SingleExcitationState:
 
 
 def excited_emitter_state(params: LatticeParams, layout: EmitterLayout,
-                          which: int = 1,
-                          picture: str = ORIGINAL) -> SingleExcitationState:
-    """Field vacuum with emitter number `which` (1-based) excited."""
+                          which: int = 1) -> SingleExcitationState:
+    """Field vacuum with emitter number `which` (1-based) excited, in the
+    original picture."""
     if not 1 <= which <= layout.n_emitters:
         raise ValueError(f"emitter index {which} out of range 1..{layout.n_emitters}")
     e = np.zeros(layout.n_emitters, dtype=complex)
     e[which - 1] = 1.0
-    return SingleExcitationState(e, np.zeros(params.n_modes, dtype=complex), picture)
+    return SingleExcitationState(e, np.zeros(params.n_modes, dtype=complex))

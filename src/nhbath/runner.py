@@ -36,15 +36,8 @@ def _localization_csv(rows) -> str:
 
 
 def max_workers() -> int:
-    """Parallelism cap from NHBATH_THREADS (0 or unset = automatic)."""
-    raw = os.environ.get("NHBATH_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"NHBATH_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"NHBATH_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads for the gamma sweep: one per CPU."""
+    return os.cpu_count() or 1
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -67,9 +60,10 @@ def _spectrum_files(cfg: ExperimentConfig) -> dict:
                                   label))}
 
 
-def _trajectory_files(cfg: ExperimentConfig, excited: int) -> dict:
+def _trajectory_files(cfg: ExperimentConfig) -> dict:
     H = build_total_hamiltonian(cfg.lattice, cfg.emitters)
-    psi0 = excited_emitter_state(cfg.lattice, cfg.emitters, which=excited)
+    psi0 = excited_emitter_state(cfg.lattice, cfg.emitters,
+                                 which=cfg.excited_emitter)
     traj = evolve(H, psi0, _time_grid(cfg), tol=cfg.tol)
     pops = emitter_populations(traj)
     dens = photon_density(traj)
@@ -148,6 +142,16 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
     return {"sweep.csv": _localization_csv(rows)}
 
 
+_FILES = {
+    "spectrum": _spectrum_files,
+    "emit": _trajectory_files,
+    "transfer": _trajectory_files,
+    "heff": _heff_files,
+    "dressed": _dressed_files,
+    "sweep_gamma": _sweep_files,
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the configured experiment and write its datasets.
 
@@ -155,21 +159,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     leaves no partial files.  Returns the list of paths written (the
     manifest last).  Identical configs produce byte-identical files.
     """
-    if cfg.experiment == "spectrum":
-        files = _spectrum_files(cfg)
-    elif cfg.experiment == "emit":
-        files = _trajectory_files(cfg, excited=1)
-    elif cfg.experiment == "transfer":
-        files = _trajectory_files(cfg, excited=cfg.excited_emitter)
-    elif cfg.experiment == "heff":
-        files = _heff_files(cfg)
-    elif cfg.experiment == "dressed":
-        files = _dressed_files(cfg)
-    elif cfg.experiment == "sweep_gamma":
-        files = _sweep_files(cfg)
-    else:  # pragma: no cover - parse_config forbids this
-        raise ValueError(f"unknown experiment {cfg.experiment!r}")
-
+    files = _FILES[cfg.experiment](cfg)
     canon = serialize_config(cfg)
     manifest = {
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -58,7 +59,7 @@ class TestCli:
 
     @pytest.mark.parametrize("override", ["gamma=NaN", "g=Infinity",
                                           "t_max=Infinity", "tol=NaN"])
-    @pytest.mark.parametrize("command", ["heff", "emit"])
+    @pytest.mark.parametrize("command", ["heff", "emit", "spectrum"])
     def test_non_finite_number_exits_2_and_writes_nothing(
             self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=1.0,
@@ -236,6 +237,58 @@ def test_spectrum_cli_exits_0_with_a_passive_spectrum_or_2_writing_nothing(raw):
         assert (np.diff(label) >= 0).all()
 
 
+@st.composite
+def _emitter_chain(draw):
+    """Config of a short chain with emitters, N = 1 (rejected) to 6 and 2-3
+    distinct cells; gamma in [0, 4] with 0 and the exceptional point 2*t1
+    drawn explicitly, and t2 = t1 drawn explicitly too (the dressed states
+    and the closed forms need both)."""
+    n = draw(st.integers(1, 6))
+    t1 = draw(st.floats(0.1, 2.0))
+    gamma = st.one_of(st.just(2 * t1), st.just(0.0), st.floats(0.0, 4.0))
+    cells = draw(st.lists(st.integers(1, max(n, 2)), min_size=2, max_size=3,
+                          unique=True))
+    return dict(N=n, t1=t1, t2=draw(st.one_of(st.just(t1), st.floats(0.1, 2.0))),
+                gamma=draw(gamma),
+                boundary=draw(st.sampled_from(["open", "periodic"])),
+                g=draw(st.floats(0.01, 1.0)), cells=cells,
+                excited_emitter=draw(st.integers(1, len(cells))), t_max=2.0,
+                n_points=11, t_av=2.0,
+                gamma_values=draw(st.lists(gamma, min_size=1, max_size=3)),
+                heff_method=draw(st.sampled_from(["numeric", "finite",
+                                                  "asymptotic"])),
+                dressed_kind=draw(st.sampled_from(["bulk", "edge"])))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(raw=_emitter_chain())
+def test_emitter_cli_exits_0_with_finite_csvs_or_2_writing_nothing(raw):
+    for command in ("emit", "transfer", "heff", "dressed", "sweep-gamma"):
+        run = dict(raw)
+        if command not in ("transfer", "heff"):  # one emitter, the first
+            run.update(cells=raw["cells"][:1], excited_emitter=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            cfg = write_config(Path(tmp), **dict(run, output_dir=out))
+            code = main([command, "--config", cfg])
+            assert code in (0, 2), command
+            if code == 2:
+                assert not os.path.exists(out), command
+                continue
+            for name in sorted(os.listdir(out)):
+                if not name.endswith(".csv"):
+                    continue
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    header, *body = list(csv.reader(fh))
+                assert body, (command, name)
+                for field in (f for row in body for f in row):
+                    try:
+                        value = float(field)
+                    except ValueError:  # a site label or the boundary
+                        continue
+                    assert math.isfinite(value), (command, name, field)
+
+
 class TestRunExperiment:
     def test_emit_outputs(self, tmp_path):
         raw = dict(N=20, t1=1.0, t2=1.0, gamma=2.0, boundary="open",
@@ -288,8 +341,7 @@ class TestRunExperiment:
         assert lines[1].startswith("emitter,")
         assert len(lines) == 1 + 1 + 12  # header + emitter + 2N sites
 
-    def test_sweep_gamma_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NHBATH_THREADS", "2")
+    def test_sweep_gamma_rows(self, tmp_path):
         raw = dict(N=20, t1=1.0, t2=1.0, gamma=1.0, boundary="open",
                    experiment="sweep_gamma", g=0.05, cells=[5],
                    t_max=10.0, n_points=41, t_av=10.0,
@@ -303,20 +355,5 @@ class TestRunExperiment:
 
 
 class TestMaxWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("NHBATH_THREADS", "3")
-        assert max_workers() == 3
-
-    def test_auto(self, monkeypatch):
-        monkeypatch.setenv("NHBATH_THREADS", "0")
-        assert max_workers() >= 1
-        monkeypatch.delenv("NHBATH_THREADS")
-        assert max_workers() >= 1
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("NHBATH_THREADS", "many")
-        with pytest.raises(ValueError):
-            max_workers()
-        monkeypatch.setenv("NHBATH_THREADS", "-1")
-        with pytest.raises(ValueError):
-            max_workers()
+    def test_auto(self):
+        assert max_workers() == (os.cpu_count() or 1)

@@ -45,6 +45,12 @@ class TestParseConfig:
                          "boundary", "g: required", "cells: required"):
             assert fragment in problems, fragment
 
+    def test_spectrum_checks_the_emitter_keys_it_ignores(self):
+        raw = json.loads(MINIMAL_SPECTRUM)
+        assert parse_config(json.dumps(dict(raw, g=0.1, cells=[2, 3]))).emitters is None
+        with pytest.raises(ConfigError, match="cells"):
+            parse_config(json.dumps(dict(raw, cells="junk")))
+
     def test_emitter_cells_cross_checked(self):
         raw = {"experiment": "heff", "N": 5, "t1": 1, "t2": 1, "gamma": 1,
                "g": 0.1, "cells": [1, 9]}

@@ -54,7 +54,26 @@ class TestBulkDressedState:
             bulk_dressed_state(_chain(9), 9, 0.1)
 
 
+def _edge_cloud_by_cell(params, g):
+    """The edge state's photon amplitudes written cell by cell (reference)."""
+    N = params.n_cells
+    c = g / (np.sqrt(2) * params.gamma)
+    amps = np.zeros(params.n_modes, dtype=complex)
+    for n in range(1, N + 1):
+        ph = (-1) ** (N + n)
+        amps[params.a_index(n)] = -c * ph * (2 if n == 1 else 1)
+        amps[params.b_index(n)] = -1j * c * ph * (2 if n == N else 1)
+    return amps
+
+
 class TestEdgeDressedState:
+    @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 9, 10, 400])
+    def test_cloud_equals_cell_by_cell_form(self, n_cells):
+        p = _chain(n_cells)
+        amps = edge_dressed_state(p, 0.05).state.photon_amps
+        # bitwise, signs of zero included: dressed.csv writes these bytes
+        assert amps.tobytes() == _edge_cloud_by_cell(p, 0.05).tobytes()
+
     @pytest.mark.parametrize("n_cells", [9, 10])
     def test_residual_scales_as_g_cubed(self, n_cells):
         p = _chain(n_cells)
