@@ -204,17 +204,20 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(["top-level JSON value must be an object"])
 
     problems = [f"unknown key {key!r}" for key in sorted(set(raw) - set(KNOWN_KEYS))]
+    # null means absent: an optional key takes its default, a required key
+    # is missing
+    raw = {key: value for key, value in raw.items() if value is not None}
     # a key's value, or its default (None if it has none) when the key is
-    # absent, null or, for a number, invalid; an invalid choice is None
+    # absent or, for a number, invalid; an invalid choice is None
     val = {}
     for key, rule in _NUMBERS.items():
-        problem = None if raw.get(key) is None else _number_problem(raw[key], *rule)
+        problem = _number_problem(raw[key], *rule) if key in raw else None
         if problem:
             problems.append(f"{key}: {problem}")
-        val[key] = _DEFAULTS.get(key) if raw.get(key) is None or problem else raw[key]
+        val[key] = raw[key] if key in raw and not problem else _DEFAULTS.get(key)
     for key, allowed in _CHOICES.items():
         val[key] = raw.get(key, _DEFAULTS.get(key))
-        if val[key] not in allowed and (val[key] is not None or key in _DEFAULTS):
+        if key in raw and val[key] not in allowed:
             problems.append(f"{key}: must be one of {allowed}, got {val[key]!r}")
             val[key] = None
     cells = raw.get("cells")
@@ -239,10 +242,10 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append(f"output_dir: expected a non-empty string, got {output_dir!r}")
 
     for key in ("experiment", "N", "t1", "t2", "gamma"):
-        if raw.get(key) is None:
+        if key not in raw:
             problems.append(f"{key}: required")
     for key in reads:
-        if key not in _DEFAULTS and raw.get(key) is None:
+        if key not in _DEFAULTS and key not in raw:
             problems.append(f"{key}: required for experiment {experiment}")
 
     n = val["N"]

@@ -99,12 +99,11 @@ def verify_eigenstate(hamiltonian: np.ndarray, dressed: DressedState) -> float:
     return float(np.linalg.norm(r) / np.linalg.norm(v))
 
 
-def coupling_from_dressed(dressed: DressedState, probe_cell: int,
-                          g_probe: float = None) -> complex:
+def coupling_from_dressed(dressed: DressedState, probe_cell: int) -> complex:
     """Coupling a weak probe emitter in `probe_cell` picks up from the
-    dressed emitter: the probe's own coupling rate (defaults to the dressed
-    emitter's g) times the cloud amplitude on the probe's lossy cavity in
-    the original picture.
+    dressed emitter: the probe's coupling rate (the dressed emitter's g)
+    times the cloud amplitude on the probe's lossy cavity in the original
+    picture.
 
     Reproduces the directional couplings: +i Gamma one cell to the right of
     a bulk source (and on cell 1 for the edge state via the boundary),
@@ -113,6 +112,4 @@ def coupling_from_dressed(dressed: DressedState, probe_cell: int,
     st = transform_picture(dressed.state, "to_original")
     if not 1 <= probe_cell <= st.n_cells:
         raise ValueError(f"probe_cell {probe_cell} out of range 1..{st.n_cells}")
-    if g_probe is None:
-        g_probe = dressed.g
-    return g_probe * st.photon_amp(probe_cell, "b")
+    return dressed.g * st.photon_amp(probe_cell, "b")

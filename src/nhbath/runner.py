@@ -93,20 +93,31 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
     else:
         mat = heff_closed_form(cfg.lattice, cfg.emitters, form=cfg.heff_method)
     entries = mat.entries.ravel(order="C")
+    if not np.isfinite(entries).all():  # JSON has no NaN or Infinity
+        raise ValueError("the coupling matrix has a non-finite entry")
+    # each value formatted once, as json writes a float (float.__repr__)
+    re = list(map(repr, entries.real.tolist()))
+    im = list(map(repr, entries.imag.tolist()))
     payload = {
         "method": mat.method,
         "boundary": mat.boundary,
         "params": {"N": cfg.lattice.n_cells, "t1": cfg.lattice.t1,
                    "t2": cfg.lattice.t2, "gamma": cfg.lattice.gamma,
                    "g": mat.g, "cells": list(mat.cells)},
-        "entries": np.stack([entries.real, entries.imag], axis=1).tolist(),
+        "entries": [],
     }
+    # json's indent layout of the [re, im] pairs, written here because
+    # json.dumps with indent falls back to its pure-Python encoder
+    pairs = ",\n".join(f"    [\n      {r},\n      {i}\n    ]"
+                       for r, i in zip(re, im))
+    text = json.dumps(payload, sort_keys=True, indent=2).replace(
+        '"entries": []', f'"entries": [\n{pairs}\n  ]', 1)
     labels = [str(c) for c in mat.cells]
     return {
-        "heff.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "heff.json": text + "\n",
         "heff.csv": _csv(("m", "n", "re", "im"),
                          ([m for m in labels for _ in labels],
-                          labels * len(labels), entries.real, entries.imag)),
+                          labels * len(labels), re, im)),
     }
 
 

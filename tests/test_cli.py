@@ -260,6 +260,10 @@ def _emitter_chain(draw):
                 dressed_kind=draw(st.sampled_from(["bulk", "edge"])))
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(raw=_emitter_chain())
 def test_emitter_cli_exits_0_with_finite_csvs_or_2_writing_nothing(raw):
@@ -276,7 +280,12 @@ def test_emitter_cli_exits_0_with_finite_csvs_or_2_writing_nothing(raw):
                 assert not os.path.exists(out), command
                 continue
             for name in sorted(os.listdir(out)):
-                if not name.endswith(".csv"):
+                if name.endswith(".json"):  # strict JSON: no NaN or Infinity
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        data = json.loads(fh.read(), parse_constant=_no_constant)
+                    for value in (v for pair in data.get("entries", ())
+                                  for v in pair):
+                        assert math.isfinite(value), (command, name, value)
                     continue
                 with open(os.path.join(out, name), encoding="utf-8") as fh:
                     header, *body = list(csv.reader(fh))

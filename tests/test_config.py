@@ -45,6 +45,25 @@ class TestParseConfig:
                          "boundary", "g: required", "cells: required"):
             assert fragment in problems, fragment
 
+    @pytest.mark.parametrize("experiment, key, default", [
+        ("spectrum", "boundary", "periodic"), ("heff", "heff_method", "numeric"),
+        ("dressed", "dressed_kind", "bulk"), ("emit", "output_dir", "out")])
+    def test_null_optional_key_takes_its_default(self, experiment, key, default):
+        raw = {"experiment": experiment, "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3]}
+        cfg = parse_config(json.dumps(dict(raw, **{key: None})))
+        assert cfg == parse_config(json.dumps(raw))
+        assert cfg.flat_dict()[key] == default
+
+    @pytest.mark.parametrize("key, problem", [
+        ("N", "N: required"), ("cells", "cells: required for experiment heff")])
+    def test_null_required_key_is_missing(self, key, problem):
+        raw = {"experiment": "heff", "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 1.0, "g": 0.05, "cells": [3], key: None}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert problem in exc.value.problems
+
     def test_spectrum_checks_the_emitter_keys_it_ignores(self):
         raw = json.loads(MINIMAL_SPECTRUM)
         assert parse_config(json.dumps(dict(raw, g=0.1, cells=[2, 3]))).emitters is None

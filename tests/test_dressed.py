@@ -122,11 +122,6 @@ class TestCouplingFromDressed:
         for probe in (3, 5, n_cells - 2):
             assert abs(coupling_from_dressed(ds, probe)) < 1e-15
 
-    def test_probe_rate_override(self):
-        ds = bulk_dressed_state(_chain(9), 4, 0.1)
-        weak = coupling_from_dressed(ds, 5, g_probe=0.01)
-        assert weak == pytest.approx(0.1 * coupling_from_dressed(ds, 5))
-
     def test_probe_range_checked(self):
         ds = bulk_dressed_state(_chain(9), 4, 0.1)
         with pytest.raises(ValueError):
