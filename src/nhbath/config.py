@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dressed import _require_directional
+from .dressed import dressed_state_problems
+from .effective import closed_form_problems
 from .params import BOUNDARIES, EmitterLayout, LatticeParams
 
 # experiment -> the keys it reads beyond the lattice keys, output_dir, tol
@@ -76,6 +77,8 @@ _DEFAULTS = {
     "output_dir": "out",
     "tol": 1e-9,
 }
+# input a `dressed_state_problems` reason names -> the config key it comes from
+_DRESSED_INPUTS = {"params": "dressed", "kind": "dressed_kind", "cell": "cells"}
 
 
 class ConfigError(ValueError):
@@ -161,35 +164,6 @@ def _number_problem(val, integer, minimum, strict) -> Optional[str]:
     return None
 
 
-def _model_problems(experiment, lattice, emitters, heff_method,
-                    dressed_kind) -> list:
-    """Model/experiment combinations that the computation always rejects."""
-    problems = []
-    if experiment == "dressed":
-        try:
-            _require_directional(lattice)
-        except ValueError as exc:
-            problems.append(f"dressed: {exc}")
-        if dressed_kind == "edge" and lattice.periodic:
-            problems.append("dressed_kind: the edge dressed state lives on "
-                            "the open chain")
-        if dressed_kind == "edge" and emitters.cells != (lattice.n_cells,):
-            problems.append(f"cells: the edge dressed state belongs to the "
-                            f"emitter in the last cell, [{lattice.n_cells}]")
-        if (dressed_kind == "bulk" and not lattice.periodic
-                and emitters.cells[0] == lattice.n_cells):
-            problems.append("cells: the last cell of the open chain hosts the "
-                            "edge dressed state, not a bulk one")
-    if experiment == "heff" and heff_method in ("finite", "asymptotic"):
-        if not lattice.uniform:
-            problems.append(f"heff_method: {heff_method} closed forms "
-                            "require t1 == t2")
-        if heff_method == "finite" and lattice.gamma == 0:
-            problems.append("heff_method: the finite closed form requires "
-                            "gamma > 0")
-    return problems
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON config, reporting every problem at once.
 
@@ -251,11 +225,9 @@ def parse_config(text: str) -> ExperimentConfig:
     n = val["N"]
     lattice = None
     if None not in (n, val["t1"], val["t2"], val["gamma"], val["boundary"]):
-        try:
-            lattice = LatticeParams(n, float(val["t1"]), float(val["t2"]),
-                                    float(val["gamma"]), val["boundary"])
-        except ValueError as exc:
-            problems.append(str(exc))
+        # cannot raise: _NUMBERS and _CHOICES hold LatticeParams' own rules
+        lattice = LatticeParams(n, float(val["t1"]), float(val["t2"]),
+                                float(val["gamma"]), val["boundary"])
 
     emitters = None
     if "cells" in reads and cells is not None and val["g"] is not None:
@@ -285,9 +257,15 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"t_av: averaging window {t_av} is shorter than "
                             f"the time step {step}")
 
+    # models the computation rejects, by the rules of the modules that own them
     if lattice is not None and emitters is not None:
-        problems += _model_problems(experiment, lattice, emitters,
-                                    val["heff_method"], val["dressed_kind"])
+        if experiment == "dressed":
+            problems += [f"{_DRESSED_INPUTS[arg]}: {reason}" for arg, reason in
+                         dressed_state_problems(lattice, val["dressed_kind"],
+                                                emitters.cells[0])]
+        if experiment == "heff" and val["heff_method"] in ("finite", "asymptotic"):
+            problems += [f"heff_method: {reason}" for reason in
+                         closed_form_problems(lattice, val["heff_method"])]
 
     if problems:
         raise ConfigError(problems)

@@ -27,13 +27,25 @@ class DressedState:
     g: float
 
 
-def _require_directional(params: LatticeParams) -> float:
+def dressed_state_problems(params: LatticeParams, kind: str, cell: int) -> list:
+    """Why no `kind` ("bulk" or "edge") dressed state exists for an emitter
+    in `cell`, as (input, reason) pairs naming the input at fault: "params",
+    "kind" or "cell".  Empty when the state exists."""
+    problems = []
     if not params.uniform:
-        raise ValueError("dressed states require t1 == t2 == J")
-    j = params.t1
-    if abs(params.gamma - 2 * j) > 1e-12 * j:
-        raise ValueError("dressed states exist at gamma = 2J exactly")
-    return j
+        problems.append(("params", "dressed states need t1 == t2 == J"))
+    elif abs(params.gamma - 2 * params.t1) > 1e-12 * params.t1:
+        problems.append(("params", "dressed states exist at gamma = 2J exactly"))
+    last = cell == params.n_cells
+    if kind == "edge" and params.periodic:
+        problems.append(("kind", "the edge dressed state lives on the open chain"))
+    if kind == "edge" and not last:
+        problems.append(("cell", "the edge dressed state belongs to the emitter "
+                                 f"in the last cell, [{params.n_cells}]"))
+    if kind == "bulk" and last and not params.periodic:
+        problems.append(("cell", "the last cell of the open chain "
+                                 "hosts the edge dressed state, not a bulk one"))
+    return problems
 
 
 def bulk_dressed_state(params: LatticeParams, source_cell: int,
@@ -45,20 +57,18 @@ def bulk_dressed_state(params: LatticeParams, source_cell: int,
     open chain the source must not be the last cell (its cloud has nowhere
     to spill); on the ring any cell works.
     """
-    j = _require_directional(params)
     params.check_cell(source_cell)
-    if g <= 0:
-        raise ValueError("g must be positive")
-    if not params.periodic and source_cell == params.n_cells:
-        raise ValueError("the last cell of the open chain hosts the edge "
-                         "dressed state, not a bulk one")
+    if problems := dressed_state_problems(params, "bulk", source_cell):
+        raise ValueError("; ".join(reason for _, reason in problems))
+    if not 0 < g < np.inf:
+        raise ValueError(f"g must be finite and positive, got {g}")
     gamma = params.gamma
     amps = np.zeros(params.n_modes, dtype=complex)
     nxt = source_cell % params.n_cells + 1
     amps[params.b_index(source_cell)] = -1j * g / (np.sqrt(2) * gamma)
     amps[params.a_index(nxt)] = -g / (np.sqrt(2) * gamma)
     state = SingleExcitationState(np.array([1.0 + 0.0j]), amps, MAPPED)
-    return DressedState(state, -1j * g ** 2 / (4 * j), source_cell, "bulk", g)
+    return DressedState(state, -1j * g ** 2 / (4 * params.t1), source_cell, "bulk", g)
 
 
 def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
@@ -69,11 +79,10 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     (-1, -i) on (alpha, beta), doubled on alpha of cell 1 and on beta of
     cell N.
     """
-    j = _require_directional(params)
-    if params.periodic:
-        raise ValueError("the edge dressed state lives on the open chain")
-    if g <= 0:
-        raise ValueError("g must be positive")
+    if problems := dressed_state_problems(params, "edge", params.n_cells):
+        raise ValueError("; ".join(reason for _, reason in problems))
+    if not 0 < g < np.inf:
+        raise ValueError(f"g must be finite and positive, got {g}")
     N, gamma = params.n_cells, params.gamma
     c = g / (np.sqrt(2) * gamma)
     ph = (-1) ** (N + np.arange(1, N + 1))
@@ -83,7 +92,7 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     amps[0] *= 2
     amps[-1] *= 2
     state = SingleExcitationState(np.array([1.0 + 0.0j]), amps, MAPPED)
-    return DressedState(state, -1j * g ** 2 / (4 * j), N, "edge", g)
+    return DressedState(state, -1j * g ** 2 / (4 * params.t1), N, "edge", g)
 
 
 def verify_eigenstate(hamiltonian: np.ndarray, dressed: DressedState) -> float:

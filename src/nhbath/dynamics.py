@@ -106,8 +106,9 @@ class LocalizationReport:
 
     Probabilities are conditioned on the photon being in the field and
     normalized so p_local + p_left + p_right == 1.  "Local" means the
-    emitter's cell and the one to its right, the pair that hosts the bound
-    photonic cloud in the fully directional regime.
+    emitter's cell and the one to its right (cell 1 for cell N on the ring),
+    the pair that hosts the bound photonic cloud in the fully directional
+    regime; left and right are the other cells below and above the emitter's.
     """
 
     p_local: float
@@ -117,10 +118,11 @@ class LocalizationReport:
     t_average: float
 
 
-def localization_report(traj: Trajectory, atom_cell: int,
-                        t_average: float) -> LocalizationReport:
+def localization_report(traj: Trajectory, atom_cell: int, t_average: float,
+                        periodic: bool = False) -> LocalizationReport:
     """Average the photonic density over [0, t_average] and split it into
-    local / left-of-emitter / right-of-emitter weights (cells are 1-based)."""
+    local / left-of-emitter / right-of-emitter weights (cells are 1-based).
+    On the ring (`periodic`) the local pair of cell N is (N, 1)."""
     times = traj.times
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")
@@ -136,8 +138,9 @@ def localization_report(traj: Trajectory, atom_cell: int,
         raise ValueError(f"atom_cell {atom_cell} out of range 1..{n_cells}")
     avg = np.trapezoid(cell_prob, tms, axis=0) / (tms[-1] - tms[0])
     c = atom_cell - 1
-    local = avg[c] + (avg[c + 1] if c + 1 < n_cells else 0.0)
-    left = float(avg[:c].sum())
+    wrap = periodic and atom_cell == n_cells  # cell 1 is cell N's partner
+    local = avg[c] + (avg[(c + 1) % n_cells] if c + 1 < n_cells or wrap else 0.0)
+    left = float(avg[int(wrap):c].sum())
     right = float(avg[c + 2:].sum())
     total = local + left + right
     if total <= 0:

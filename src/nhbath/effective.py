@@ -74,13 +74,23 @@ def _bb_resolvent(params: LatticeParams, targets, sources,
     return 1j * T / (gamma + 2 * j)
 
 
+def closed_form_problems(params: LatticeParams, form: str) -> list:
+    """Why `heff_closed_form` cannot compute `form` here; empty when it can."""
+    if form not in ("finite", "asymptotic"):
+        return [f"unknown form {form!r}"]
+    problems = []
+    if not params.uniform:
+        problems.append(f"{form} closed forms require t1 == t2")
+    if form == "finite" and params.gamma == 0:
+        problems.append("the finite closed form requires gamma > 0")
+    return problems
+
+
 def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
     """Lossy-lossy entry of the open-chain zero-energy resolvent between
     cells m and n (1-based), for the uniform model t1 == t2 and gamma > 0."""
-    if params.gamma <= 0:
-        raise ValueError("the zero-energy resolvent requires gamma > 0")
-    if not params.uniform:
-        raise ValueError("the closed-form resolvent requires t1 == t2")
+    if problems := closed_form_problems(params, "finite"):
+        raise ValueError("; ".join(problems))
     params.check_cell(m)
     params.check_cell(n)
     chain = replace(params, boundary=OPEN)
@@ -131,12 +141,8 @@ def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
         dropped.
     """
     layout.validate_against(params)
-    if not params.uniform:
-        raise ValueError("closed forms require t1 == t2")
-    if form not in ("finite", "asymptotic"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "finite" and params.gamma == 0:
-        raise ValueError("the finite closed form requires gamma > 0")
+    if problems := closed_form_problems(params, form):
+        raise ValueError("; ".join(problems))
     cells = layout.cells
     entries = layout.g ** 2 * _bb_resolvent(params, cells, cells,
                                             finite=form == "finite")

@@ -34,12 +34,13 @@ class LatticeParams:
     def __post_init__(self):
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
-        if self.t1 <= 0:
-            raise ValueError(f"t1 must be positive, got {self.t1}")
-        if self.t2 <= 0:
-            raise ValueError(f"t2 must be positive, got {self.t2}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        # NaN fails every comparison, so these reject it too
+        if not 0 < self.t1 < np.inf:
+            raise ValueError(f"t1 must be finite and positive, got {self.t1}")
+        if not 0 < self.t2 < np.inf:
+            raise ValueError(f"t2 must be finite and positive, got {self.t2}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
@@ -85,8 +86,8 @@ class EmitterLayout:
             raise ValueError("layout needs at least one emitter")
         if len(set(cells)) != len(cells):
             raise ValueError(f"emitter cells must be distinct, got {cells}")
-        if g <= 0:
-            raise ValueError(f"g must be positive, got {g}")
+        if not 0 < g < np.inf:
+            raise ValueError(f"g must be finite and positive, got {g}")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "g", float(g))
 

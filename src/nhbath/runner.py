@@ -81,7 +81,8 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
         "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
     }
     if cfg.experiment == "emit":
-        rep = localization_report(traj, cfg.emitters.cells[0], cfg.t_av)
+        rep = localization_report(traj, cfg.emitters.cells[0], cfg.t_av,
+                                  cfg.lattice.periodic)
         files["localization.csv"] = _localization_csv(
             [(cfg.lattice.gamma, rep.p_local, rep.p_left, rep.p_right)])
     return files
@@ -145,7 +146,7 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
         H = build_total_hamiltonian(lat, cfg.emitters)
         psi0 = excited_emitter_state(lat, cfg.emitters)
         traj = evolve(H, psi0, times, tol=cfg.tol)
-        rep = localization_report(traj, cell, cfg.t_av)
+        rep = localization_report(traj, cell, cfg.t_av, lat.periodic)
         return gamma, rep.p_local, rep.p_left, rep.p_right
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:

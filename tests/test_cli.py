@@ -170,6 +170,30 @@ class TestCli:
                 (tmp_path / "out" / "dressed.csv").read_bytes()).hexdigest()
             assert digest == EDGE_N6_SHA256
 
+    @pytest.mark.parametrize("command, name, digest", [
+        ("emit", "localization.csv",
+         "96c01d876a53fa8c9992734b6e84378a185be4c08c1472c52cf0f662c2a716aa"),
+        ("sweep-gamma", "sweep.csv",
+         "78ab63aa628cf9d4e63e14af43ea8d0154c7a2db149d78266c6d6a505a4a474a")])
+    def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
+                                                         command, name, digest):
+        rows = {}
+        for cell in (5, 10):
+            out = tmp_path / f"cell{cell}"
+            cfg = write_config(tmp_path, N=10, t1=1.0, t2=1.0, gamma=2.0,
+                               boundary="periodic", g=0.1, cells=[cell],
+                               t_max=20.0, n_points=201, t_av=20.0,
+                               gamma_values=[1.0, 2.0], output_dir=str(out))
+            assert main([command, "--config", cfg]) == 0
+            rows[cell] = np.loadtxt(out / name, delimiter=",", skiprows=1,
+                                    ndmin=2)
+            if cell == 5:  # frozen bytes: the wrap leaves cells 1..N-1 alone
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                    == digest
+        # cell N's cloud partner is cell 1 on the ring
+        np.testing.assert_allclose(rows[10][:, 1], rows[5][:, 1], rtol=1e-12)
+        assert (rows[10][:, 3] == 0.0).all()
+
     @pytest.mark.parametrize("values", [["x"], [None], [1.0, "2"], [True],
                                         [float("nan")], [-1.0], "1.0"])
     @pytest.mark.parametrize("command", ["emit", "sweep-gamma", "spectrum"])

@@ -1,10 +1,14 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhbath import ConfigError, ExperimentConfig, parse_config, serialize_config
+from nhbath import (ConfigError, EmitterLayout, ExperimentConfig,
+                    LatticeParams, bulk_dressed_state, edge_dressed_state,
+                    heff_closed_form, heff_numeric, parse_config,
+                    serialize_config)
 from nhbath.config import EXPERIMENTS, KNOWN_KEYS
 
 MINIMAL_SPECTRUM = ('{"N": 8, "t1": 1, "t2": 1, "gamma": 1, '
@@ -146,6 +150,49 @@ class TestParseConfig:
             assert set(flat) == kept, experiment
             assert flat == {k: raw[k] for k in kept}, experiment
             assert serialize_config(parse_config(text)) == text, experiment
+
+
+def _library_computes(lattice, cell, option):
+    """Whether the library computes `option` (a dressed_kind or heff_method)
+    for one emitter in `cell`."""
+    layout = EmitterLayout([cell], 0.05)
+    try:
+        if option == "bulk":
+            bulk_dressed_state(lattice, cell, 0.05)
+        elif option == "edge":  # the edge state has its emitter in cell N
+            return edge_dressed_state(lattice, 0.05).source_cell == cell
+        elif option == "numeric":
+            heff_numeric(lattice, layout)
+        else:
+            heff_closed_form(lattice, layout, form=option)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("experiment, key, option", [
+    ("dressed", "dressed_kind", "bulk"), ("dressed", "dressed_kind", "edge"),
+    ("heff", "heff_method", "numeric"), ("heff", "heff_method", "finite"),
+    ("heff", "heff_method", "asymptotic")])
+def test_config_accepts_exactly_what_the_library_computes(experiment, key,
+                                                          option):
+    verdicts = set()
+    for t2, gamma, boundary, n in itertools.product(
+            (1.0, 1.5), (0.0, 1.0, 2.0), ("periodic", "open"), (2, 3, 7)):
+        for cell in sorted({1, (n + 1) // 2, n}):
+            raw = {"experiment": experiment, "N": n, "t1": 1.0, "t2": t2,
+                   "gamma": gamma, "boundary": boundary, "g": 0.05,
+                   "cells": [cell], key: option}
+            try:
+                parse_config(json.dumps(raw))
+                accepted = True
+            except ConfigError:
+                accepted = False
+            lattice = LatticeParams(n, 1.0, t2, gamma, boundary)
+            assert accepted == _library_computes(lattice, cell, option), raw
+            verdicts.add(accepted)
+    # every model rule is met and broken somewhere on the grid
+    assert verdicts == ({True} if option == "numeric" else {True, False})
 
 
 _NAMES = ("spectrum", "emit", "transfer", "heff", "dressed", "sweep_gamma",

@@ -49,6 +49,13 @@ class TestBulkDressedState:
         with pytest.raises(ValueError):
             bulk_dressed_state(LatticeParams(9, 1.3, 0.8, 2.6, "open"), 4, 0.1)
 
+    @pytest.mark.parametrize("g", [0.0, -0.1, float("nan"), float("inf")])
+    def test_g_must_be_finite_and_positive(self, g):
+        with pytest.raises(ValueError, match="g must be finite"):
+            bulk_dressed_state(_chain(9), 4, g)
+        with pytest.raises(ValueError, match="g must be finite"):
+            edge_dressed_state(_chain(9), g)
+
     def test_last_cell_of_chain_rejected(self):
         with pytest.raises(ValueError, match="edge"):
             bulk_dressed_state(_chain(9), 9, 0.1)

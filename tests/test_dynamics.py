@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,56 @@ class TestLocalizationReport:
             rep = localization_report(traj, 3, 0.5)  # exactly one step
         assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
+
+
+    def test_ring_local_pair_wraps(self):
+        # on the ring every cell is alike: cell N's cloud partner is cell 1,
+        # so P_loc does not depend on the emitter cell
+        p = LatticeParams(10, 1.0, 1.0, 2.0, "periodic")
+        wrapped, unwrapped = [], []
+        for cell in range(1, 11):
+            lay = EmitterLayout([cell], 0.1)
+            traj = evolve(build_total_hamiltonian(p, lay),
+                          excited_emitter_state(p, lay), np.linspace(0, 20, 201))
+            wrapped.append(localization_report(traj, cell, 20.0, periodic=True))
+            unwrapped.append(localization_report(traj, cell, 20.0))
+        p_loc = [rep.p_local for rep in wrapped]
+        np.testing.assert_allclose(p_loc, p_loc[0], rtol=1e-12, atol=0)
+        assert p_loc[0] > 0.98
+        assert wrapped[-1].p_right == 0.0
+        # the wrap changes cell N alone, whose cloud the chain rule splits
+        assert wrapped[:-1] == unwrapped[:-1]
+        assert unwrapped[-1].p_local < 0.6
+
+
+class TestMarkovLimit:
+    """Emitters in consecutive cells at gamma = 2J obey dc_m/dt = -Gamma c_m
+    + Gamma c_(m-1) in the Markov limit, so from emitter 1 excited
+    |c_m|^2 = exp(-2 Gamma t) (Gamma t)^(2(m-1)) / ((m-1)!)^2; the full
+    dynamics approaches it as g^2, on either boundary."""
+
+    @staticmethod
+    def _max_deviation(g, boundary):
+        p = LatticeParams(40, 1.0, 1.0, 2.0, boundary)
+        lay = EmitterLayout([10, 11, 12, 13], g)
+        rate = g ** 2 / 4
+        times = np.linspace(0, 6 / rate, 301)
+        traj = evolve(build_total_hamiltonian(p, lay),
+                      excited_emitter_state(p, lay), times)
+        x = rate * times[:, None]
+        m = np.arange(4)
+        markov = (np.exp(-2 * x) * x ** (2 * m)
+                  / np.array([math.factorial(k) for k in m], float) ** 2)
+        return np.abs(emitter_populations(traj) - markov).max()
+
+    def test_deviation_scales_as_g_squared_on_both_boundaries(self):
+        dev = {(g, b): self._max_deviation(g, b)
+               for g in (0.2, 0.1) for b in ("open", "periodic")}
+        for b in ("open", "periodic"):
+            assert dev[0.1, b] < 1e-3
+            assert dev[0.2, b] / dev[0.1, b] == pytest.approx(4.0, rel=0.1)
+        for g in (0.2, 0.1):  # irrespective of the boundary conditions
+            assert dev[g, "periodic"] == pytest.approx(dev[g, "open"], rel=2e-4)
 
 
 class TestFitDecayRate:

@@ -1,5 +1,6 @@
 """Static checks of the package source: every import and every module-level
-private name is used, and the public surface names each object once."""
+private name is used, no module imports another's private names, and the
+public surface names each object once."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -77,6 +78,22 @@ def test_no_unreferenced_private_names():
     unused = [f"{name}: {n}" for name, tree in trees.items()
               for n in sorted(_module_private_names(tree) - used)]
     assert unused == []
+
+
+def _private_package_imports(tree):
+    """Single-underscore names imported from other modules of the package."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("nhbath"))
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    # a rule another module needs is public in the module that owns it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _private_package_imports(tree) == []
 
 
 def test_public_names_resolve_once():

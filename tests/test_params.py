@@ -24,6 +24,14 @@ class TestLatticeParams:
         with pytest.raises(ValueError):
             LatticeParams(**base)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("key", ["t1", "t2", "gamma"])
+    def test_non_finite_rejected(self, key, value):
+        base = dict(n_cells=4, t1=1.0, t2=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match=key):
+            LatticeParams(**dict(base, **{key: value}))
+
     def test_indices(self):
         p = LatticeParams(5, 1.0, 1.0, 1.0)
         assert p.a_index(1) == 0
@@ -59,6 +67,11 @@ class TestEmitterLayout:
     def test_bad_g(self):
         with pytest.raises(ValueError):
             EmitterLayout([1], 0.0)
+
+    @pytest.mark.parametrize("g", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_g(self, g):
+        with pytest.raises(ValueError, match="g must be finite"):
+            EmitterLayout([1], g)
 
     def test_range_check(self):
         lay = EmitterLayout([9], 0.1)
