@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import transform_picture
-from .params import MAPPED, LatticeParams, SingleExcitationState
+from .params import (MAPPED, LatticeParams, SingleExcitationState,
+                     require_positive)
 
 
 @dataclass
@@ -60,8 +61,7 @@ def bulk_dressed_state(params: LatticeParams, source_cell: int,
     params.check_cell(source_cell)
     if problems := dressed_state_problems(params, "bulk", source_cell):
         raise ValueError("; ".join(reason for _, reason in problems))
-    if not 0 < g < np.inf:
-        raise ValueError(f"g must be finite and positive, got {g}")
+    require_positive("g", g)
     gamma = params.gamma
     amps = np.zeros(params.n_modes, dtype=complex)
     nxt = source_cell % params.n_cells + 1
@@ -81,8 +81,7 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     """
     if problems := dressed_state_problems(params, "edge", params.n_cells):
         raise ValueError("; ".join(reason for _, reason in problems))
-    if not 0 < g < np.inf:
-        raise ValueError(f"g must be finite and positive, got {g}")
+    require_positive("g", g)
     N, gamma = params.n_cells, params.gamma
     c = g / (np.sqrt(2) * gamma)
     ph = (-1) ** (N + np.arange(1, N + 1))

@@ -1,6 +1,7 @@
 """Model parameters, emitter layout and single-excitation state containers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -13,6 +14,20 @@ BOUNDARIES = (PERIODIC, OPEN)
 ORIGINAL = "original"
 MAPPED = "mapped"
 PICTURES = (ORIGINAL, MAPPED)
+
+
+def finite(val) -> bool:
+    """True for NaN-free, infinity-free numbers inside the float range."""
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def require_positive(name: str, val) -> None:
+    """Raise ValueError unless `val` is a finite number > 0."""
+    if not (finite(val) and val > 0):
+        raise ValueError(f"{name} must be finite and positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -34,12 +49,9 @@ class LatticeParams:
     def __post_init__(self):
         if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
-        # NaN fails every comparison, so these reject it too
-        if not 0 < self.t1 < np.inf:
-            raise ValueError(f"t1 must be finite and positive, got {self.t1}")
-        if not 0 < self.t2 < np.inf:
-            raise ValueError(f"t2 must be finite and positive, got {self.t2}")
-        if not 0 <= self.gamma < np.inf:
+        require_positive("t1", self.t1)
+        require_positive("t2", self.t2)
+        if not (finite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
@@ -86,8 +98,7 @@ class EmitterLayout:
             raise ValueError("layout needs at least one emitter")
         if len(set(cells)) != len(cells):
             raise ValueError(f"emitter cells must be distinct, got {cells}")
-        if not 0 < g < np.inf:
-            raise ValueError(f"g must be finite and positive, got {g}")
+        require_positive("g", g)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "g", float(g))
 

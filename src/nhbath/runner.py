@@ -61,9 +61,9 @@ def _spectrum_files(cfg: ExperimentConfig) -> dict:
 
 
 def _trajectory_files(cfg: ExperimentConfig) -> dict:
-    H = build_total_hamiltonian(cfg.lattice, cfg.emitters)
-    psi0 = excited_emitter_state(cfg.lattice, cfg.emitters,
-                                 which=cfg.excited_emitter)
+    lattice, layout = cfg.lattice, cfg.emitters
+    H = build_total_hamiltonian(lattice, layout)
+    psi0 = excited_emitter_state(lattice, layout, which=cfg.excited_emitter)
     traj = evolve(H, psi0, _time_grid(cfg), tol=cfg.tol)
     pops = emitter_populations(traj)
     dens = photon_density(traj)
@@ -81,10 +81,10 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
         "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
     }
     if cfg.experiment == "emit":
-        rep = localization_report(traj, cfg.emitters.cells[0], cfg.t_av,
-                                  cfg.lattice.periodic)
+        rep = localization_report(traj, cfg.cells[0], cfg.t_av,
+                                  lattice.periodic)
         files["localization.csv"] = _localization_csv(
-            [(cfg.lattice.gamma, rep.p_local, rep.p_left, rep.p_right)])
+            [(cfg.gamma, rep.p_local, rep.p_left, rep.p_right)])
     return files
 
 
@@ -102,8 +102,7 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
     payload = {
         "method": mat.method,
         "boundary": mat.boundary,
-        "params": {"N": cfg.lattice.n_cells, "t1": cfg.lattice.t1,
-                   "t2": cfg.lattice.t2, "gamma": cfg.lattice.gamma,
+        "params": {"N": cfg.N, "t1": cfg.t1, "t2": cfg.t2, "gamma": cfg.gamma,
                    "g": mat.g, "cells": list(mat.cells)},
         "entries": [],
     }
@@ -124,12 +123,11 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
 
 def _dressed_files(cfg: ExperimentConfig) -> dict:
     if cfg.dressed_kind == "bulk":
-        ds = bulk_dressed_state(cfg.lattice, cfg.emitters.cells[0],
-                                cfg.emitters.g)
+        ds = bulk_dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
     else:
-        ds = edge_dressed_state(cfg.lattice, cfg.emitters.g)
+        ds = edge_dressed_state(cfg.lattice, cfg.g)
     amps = ds.state.photon_amps  # alpha1, beta1, alpha2, ... (mapped picture)
-    labels = [f"{label}{cell}" for cell in range(1, cfg.lattice.n_cells + 1)
+    labels = [f"{label}{cell}" for cell in range(1, cfg.N + 1)
               for label in ("alpha", "beta")]
     return {"dressed.csv": _csv(
         ("site_label", "re_amp", "im_amp", "modulus"),
@@ -139,14 +137,14 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
 
 def _sweep_files(cfg: ExperimentConfig) -> dict:
     times = _time_grid(cfg)
-    cell = cfg.emitters.cells[0]
+    lattice, layout = cfg.lattice, cfg.emitters
 
     def one(gamma: float):
-        lat = replace(cfg.lattice, gamma=gamma)
-        H = build_total_hamiltonian(lat, cfg.emitters)
-        psi0 = excited_emitter_state(lat, cfg.emitters)
+        lat = replace(lattice, gamma=gamma)
+        H = build_total_hamiltonian(lat, layout)
+        psi0 = excited_emitter_state(lat, layout)
         traj = evolve(H, psi0, times, tol=cfg.tol)
-        rep = localization_report(traj, cell, cfg.t_av, lat.periodic)
+        rep = localization_report(traj, cfg.cells[0], cfg.t_av, lat.periodic)
         return gamma, rep.p_local, rep.p_left, rep.p_right
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:

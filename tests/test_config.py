@@ -150,6 +150,46 @@ class TestParseConfig:
             assert set(flat) == kept, experiment
             assert flat == {k: raw[k] for k in kept}, experiment
             assert serialize_config(parse_config(text)) == text, experiment
+            assert parse_config(text) == parse_config(json.dumps(raw)), experiment
+
+    @pytest.mark.parametrize("experiment", ["emit", "heff", "dressed",
+                                            "sweep_gamma"])
+    def test_excited_emitter_is_checked_only_where_read(self, experiment):
+        raw = {"experiment": experiment, "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3], "gamma_values": [1.0],
+               "excited_emitter": 5}
+        assert parse_config(json.dumps(raw)).excited_emitter == 1  # default
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(dict(raw, experiment="transfer")))
+        assert exc.value.problems == ["cells: transfer needs at least two emitters",
+                                      "excited_emitter: 5 exceeds the number "
+                                      "of emitters"]
+
+    def test_join_rules_see_only_valid_values(self):
+        # the t_av window is not compared against a default standing in for
+        # the invalid t_max, nor the dressed model checked for an invalid kind
+        raw = {"experiment": "emit", "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3], "t_max": -1, "t_av": 30}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == ["t_max: must be > 0, got -1"]
+        raw = dict(raw, experiment="dressed", gamma=1.0, dressed_kind="x")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == [
+            "t_max: must be > 0, got -1",
+            "dressed_kind: must be one of ('bulk', 'edge'), got 'x'"]
+
+    def test_empty_gamma_values_gives_none(self):
+        raw = json.loads(MINIMAL_SPECTRUM)
+        cfg = parse_config(json.dumps(dict(raw, gamma_values=[])))
+        assert cfg == parse_config(MINIMAL_SPECTRUM)
+        raw = dict(raw, experiment="sweep_gamma", g=0.05, cells=[3],
+                   gamma_values=[])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == [
+            "gamma_values: required for experiment sweep_gamma"]
 
 
 def _library_computes(lattice, cell, option):
@@ -215,6 +255,16 @@ _one_key_off = st.builds(
     st.sampled_from(EXPERIMENTS),
     _keys.flatmap(lambda k: st.tuples(
         st.just(k), _lists if isinstance(_VALID.get(k), list) else _json)))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(raw=_one_key_off)
+def test_parsing_the_canonical_text_gives_the_config_back(raw):
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def _accepts_or_raises_config_error(raw):

@@ -49,7 +49,8 @@ class TestBulkDressedState:
         with pytest.raises(ValueError):
             bulk_dressed_state(LatticeParams(9, 1.3, 0.8, 2.6, "open"), 4, 0.1)
 
-    @pytest.mark.parametrize("g", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("g", [0.0, -0.1, float("nan"), float("inf"),
+                                   pytest.param(10 ** 400, id="10**400")])
     def test_g_must_be_finite_and_positive(self, g):
         with pytest.raises(ValueError, match="g must be finite"):
             bulk_dressed_state(_chain(9), 4, g)

@@ -1,13 +1,16 @@
 """Static checks of the package source: every import and every module-level
-private name is used, no module imports another's private names, and the
-public surface names each object once."""
+private name is used, no module imports another's private names, the
+public surface names each object once, and each config key is declared
+once."""
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import nhbath
+from nhbath.config import _COMMON, _READS, KNOWN_KEYS, ExperimentConfig
 
 SRC = Path(nhbath.__file__).resolve().parent
 
@@ -100,3 +103,11 @@ def test_public_names_resolve_once():
     counts = Counter(nhbath.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in counts if not hasattr(nhbath, name)] == []
+
+
+def test_each_config_key_is_declared_once():
+    # one KNOWN_KEYS row per key: the config has a field for each row and the
+    # experiment table names no key without one
+    assert [f.name for f in fields(ExperimentConfig)] == list(KNOWN_KEYS)
+    named = set(_COMMON).union(*_READS.values())
+    assert named - set(KNOWN_KEYS) == set()

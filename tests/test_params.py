@@ -25,7 +25,8 @@ class TestLatticeParams:
             LatticeParams(**base)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
+                                       float("-inf"),
+                                       pytest.param(10 ** 400, id="10**400")])
     @pytest.mark.parametrize("key", ["t1", "t2", "gamma"])
     def test_non_finite_rejected(self, key, value):
         base = dict(n_cells=4, t1=1.0, t2=1.0, gamma=1.0)
@@ -68,7 +69,8 @@ class TestEmitterLayout:
         with pytest.raises(ValueError):
             EmitterLayout([1], 0.0)
 
-    @pytest.mark.parametrize("g", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("g", [float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_g(self, g):
         with pytest.raises(ValueError, match="g must be finite"):
             EmitterLayout([1], g)
