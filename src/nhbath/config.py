@@ -8,7 +8,7 @@ from typing import Optional
 
 from .dressed import dressed_state_problems
 from .effective import closed_form_problems
-from .params import BOUNDARIES, EmitterLayout, LatticeParams, finite
+from .params import BOUNDARIES, EmitterLayout, LatticeParams, finite, integer
 
 # experiment -> the keys it reads beyond the lattice keys, output_dir, tol
 # and any gamma_values given; an experiment that reads cells has emitters
@@ -29,13 +29,13 @@ _COMMON = ("experiment", *_LATTICE, "output_dir", "tol", "gamma_values")
 _DRESSED_INPUTS = {"params": "dressed", "kind": "dressed_kind", "cell": "cells"}
 
 
-def _number(integer, minimum, strict):
-    """Rule of a number: an integer if `integer`, finite, and >= `minimum`
+def _number(whole, minimum, strict):
+    """Rule of a number: an integer if `whole`, finite, and >= `minimum`
     (> if `strict`)."""
     def rule(val):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             return f"expected a number, got {val!r}"
-        if integer and not isinstance(val, int):
+        if whole and not isinstance(val, int):
             return f"expected an integer, got {val!r}"
         if not finite(val):
             return f"must be a finite number, got {val!r}"
@@ -55,8 +55,7 @@ def _one_of(*allowed):
 
 
 def _cells(val):
-    if isinstance(val, list) and val and all(
-            isinstance(c, int) and not isinstance(c, bool) for c in val):
+    if isinstance(val, list) and val and all(map(integer, val)):
         return None
     return f"expected a non-empty list of integers, got {val!r}"
 

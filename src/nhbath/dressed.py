@@ -6,22 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import transform_picture
-from .params import (MAPPED, LatticeParams, SingleExcitationState,
-                     require_positive)
+from .lattice import rotate_cells
+from .params import LatticeParams, require_index, require_positive
 
 
 @dataclass
 class DressedState:
     """Emitter dressed by a photonic cloud, quasi-stationary to order g^2.
 
-    The state is stored in the mapped (alpha, beta) picture, unnormalized
-    with unit emitter amplitude; `energy` is the complex quasi-eigenvalue
-    -i g^2/(4J).  kind is "bulk" (two-cell cloud) or "edge" (chain-filling
-    cloud of the last-cell emitter on the open chain).
+    `photon_amps` is the cloud in the mapped picture (alpha1, beta1, alpha2,
+    ...), relative to a unit emitter amplitude; `energy` is the complex
+    quasi-eigenvalue -i g^2/(4J).  kind is "bulk" (two-cell cloud) or "edge"
+    (chain-filling cloud of the last-cell emitter on the open chain).
     """
 
-    state: SingleExcitationState
+    photon_amps: np.ndarray
     energy: complex
     source_cell: int
     kind: str
@@ -67,8 +66,7 @@ def bulk_dressed_state(params: LatticeParams, source_cell: int,
     nxt = source_cell % params.n_cells + 1
     amps[params.b_index(source_cell)] = -1j * g / (np.sqrt(2) * gamma)
     amps[params.a_index(nxt)] = -g / (np.sqrt(2) * gamma)
-    state = SingleExcitationState(np.array([1.0 + 0.0j]), amps, MAPPED)
-    return DressedState(state, -1j * g ** 2 / (4 * params.t1), source_cell, "bulk", g)
+    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), source_cell, "bulk", g)
 
 
 def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
@@ -90,17 +88,16 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     amps[1::2] = -1j * c * ph  # beta of cells 1..N
     amps[0] *= 2
     amps[-1] *= 2
-    state = SingleExcitationState(np.array([1.0 + 0.0j]), amps, MAPPED)
-    return DressedState(state, -1j * g ** 2 / (4 * params.t1), N, "edge", g)
+    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), N, "edge", g)
 
 
 def verify_eigenstate(hamiltonian: np.ndarray, dressed: DressedState) -> float:
     """Residual ||H v - E v|| / ||v|| of a dressed state against the full
-    single-emitter Hamiltonian (same picture as the stored state).
+    single-emitter Hamiltonian in the mapped picture, emitter first.
 
     Scales as g^3 for a correct dressed state, g^1 for a wrong ansatz.
     """
-    v = dressed.state.vector()
+    v = np.r_[1.0, dressed.photon_amps]
     if hamiltonian.shape[0] != v.size:
         raise ValueError("hamiltonian dimension does not match the dressed state")
     r = hamiltonian @ v - dressed.energy * v
@@ -117,7 +114,6 @@ def coupling_from_dressed(dressed: DressedState, probe_cell: int) -> complex:
     a bulk source (and on cell 1 for the edge state via the boundary),
     -i Gamma back-action on the source cell, zero elsewhere.
     """
-    st = transform_picture(dressed.state, "to_original")
-    if not 1 <= probe_cell <= st.n_cells:
-        raise ValueError(f"probe_cell {probe_cell} out of range 1..{st.n_cells}")
-    return dressed.g * st.photon_amp(probe_cell, "b")
+    require_index("probe_cell", probe_cell, dressed.photon_amps.size // 2)
+    b = rotate_cells(dressed.photon_amps, to_mapped=False)[1::2]
+    return dressed.g * complex(b[probe_cell - 1])

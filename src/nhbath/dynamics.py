@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from .params import MAPPED, ORIGINAL, PICTURES, SingleExcitationState
+from .params import (MAPPED, ORIGINAL, PICTURES, SingleExcitationState,
+                     require_index)
 from .lattice import rotate_cells
 
 
@@ -40,8 +41,8 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
            times: Sequence[float], tol: float = 1e-9) -> Trajectory:
     """Propagate `initial` under `hamiltonian` and sample at `times`.
 
-    Times must start at 0 and increase; the state must be in the original
-    picture.  On a uniform grid one cached dense step exponential
+    Times must start at 0 and increase; H and the state must be finite.
+    On a uniform grid one cached dense step exponential
     expm(-i H dt) is applied per step.  The stepped state at the final time
     is checked against a reference exp(-i H t_max) psi0 computed by
     `expm_multiply` on a CSR copy of H, which never forms the dense
@@ -63,9 +64,9 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
         raise ValueError("times must be strictly increasing")
     if not np.all(np.isfinite(H)):
         raise ValueError("hamiltonian contains non-finite entries")
-    if initial.picture != ORIGINAL:
-        raise ValueError("evolve takes states in the original picture")
     psi0 = initial.vector()
+    if not np.all(np.isfinite(psi0)):
+        raise ValueError("initial state contains non-finite amplitudes")
     if H.shape[0] != psi0.size:
         raise ValueError("state dimension does not match the hamiltonian")
 
@@ -134,8 +135,7 @@ def localization_report(traj: Trajectory, atom_cell: int, t_average: float,
     tms = times[mask]
     cell_prob = dens[:, 0::2] + dens[:, 1::2]
     n_cells = cell_prob.shape[1]
-    if not 1 <= atom_cell <= n_cells:
-        raise ValueError(f"atom_cell {atom_cell} out of range 1..{n_cells}")
+    require_index("atom_cell", atom_cell, n_cells)
     avg = np.trapezoid(cell_prob, tms, axis=0) / (tms[-1] - tms[0])
     c = atom_cell - 1
     wrap = periodic and atom_cell == n_cells  # cell 1 is cell N's partner

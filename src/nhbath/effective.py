@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import build_bare_hamiltonian
-from .params import OPEN, EmitterLayout, LatticeParams
+from .params import OPEN, EmitterLayout, LatticeParams, finite, require_positive
 
 
 @dataclass
@@ -32,10 +32,9 @@ def interaction_range(gamma: float, j: float) -> float:
     Zero exactly at gamma = 2J (nearest-neighbour only), infinite at
     gamma = 0 (no decay).
     """
-    if j <= 0:
-        raise ValueError("hopping j must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    require_positive("hopping j", j)
+    if not (finite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     kappa = abs((gamma - 2 * j) / (gamma + 2 * j))
     if kappa == 0.0:
         return 0.0

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import (MAPPED, ORIGINAL, EmitterLayout, LatticeParams,
-                     SingleExcitationState)
+from .params import MAPPED, ORIGINAL, EmitterLayout, LatticeParams
 
 
 def _assemble(params: LatticeParams, onsite, hop) -> np.ndarray:
@@ -67,24 +66,6 @@ def rotate_cells(amps: np.ndarray, to_mapped: bool = True) -> np.ndarray:
     uc = intracell_unitary()  # symmetric, so row vectors rotate by uc itself
     pairs = amps.reshape(*amps.shape[:-1], -1, 2)
     return (pairs @ (uc if to_mapped else uc.conj())).reshape(amps.shape)
-
-
-def transform_picture(state: SingleExcitationState,
-                      direction: str) -> SingleExcitationState:
-    """Move a state between the two pictures.
-
-    direction is "to_mapped" or "to_original"; the state's picture tag must
-    agree with the requested source picture.
-    """
-    if direction not in ("to_mapped", "to_original"):
-        raise ValueError(f"direction must be 'to_mapped' or 'to_original', got {direction!r}")
-    to_mapped = direction == "to_mapped"
-    expect = ORIGINAL if to_mapped else MAPPED
-    if state.picture != expect:
-        raise ValueError(f"state is already in the {state.picture} picture")
-    return SingleExcitationState(state.emitter_amps.copy(),
-                                 rotate_cells(state.photon_amps, to_mapped),
-                                 MAPPED if to_mapped else ORIGINAL)
 
 
 def build_total_hamiltonian(params: LatticeParams, layout: EmitterLayout,

@@ -30,6 +30,19 @@ def require_positive(name: str, val) -> None:
         raise ValueError(f"{name} must be finite and positive, got {val}")
 
 
+def integer(val) -> bool:
+    """True for Python and numpy integers; a bool is not a count or index."""
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def require_index(name: str, val, n: int) -> None:
+    """Raise ValueError unless `val` is an integer in 1..n (a 1-based index)."""
+    if not integer(val):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    if not 1 <= val <= n:
+        raise ValueError(f"{name} {val} out of range 1..{n}")
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """Two-band lossy cavity array: N cells, each holding a neutral cavity (a)
@@ -47,7 +60,7 @@ class LatticeParams:
     boundary: str = PERIODIC
 
     def __post_init__(self):
-        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 2:
+        if not integer(self.n_cells) or self.n_cells < 2:
             raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
         require_positive("t1", self.t1)
         require_positive("t2", self.t2)
@@ -79,8 +92,7 @@ class LatticeParams:
         return 2 * (cell - 1) + 1
 
     def check_cell(self, cell: int) -> int:
-        if not 1 <= cell <= self.n_cells:
-            raise ValueError(f"cell index {cell} out of range 1..{self.n_cells}")
+        require_index("cell index", cell, self.n_cells)
         return cell
 
 
@@ -93,7 +105,10 @@ class EmitterLayout:
     g: float
 
     def __init__(self, cells: Iterable[int], g: float):
-        cells = tuple(int(c) for c in cells)
+        cells = tuple(cells)
+        if not all(map(integer, cells)):
+            raise ValueError(f"emitter cells must be integers, got {cells}")
+        cells = tuple(map(int, cells))
         if len(cells) == 0:
             raise ValueError("layout needs at least one emitter")
         if len(set(cells)) != len(cells):
@@ -136,22 +151,20 @@ def weak_coupling_warnings(params: LatticeParams, layout: EmitterLayout) -> list
 
 @dataclass
 class SingleExcitationState:
-    """Amplitudes of a single excitation shared between emitters and photons.
+    """Amplitudes of a single excitation shared between emitters and photons,
+    always in the original picture.
 
     Basis order: emitters first (layout order), then cells 1..N with the two
-    sublattice modes per cell -- (a, b) in the original picture, (alpha, beta)
-    in the mapped one.
+    cavities (a, b) per cell.  The mapped (alpha, beta) picture exists only
+    as photon amplitude arrays, rotated by `lattice.rotate_cells`.
     """
 
     emitter_amps: np.ndarray
     photon_amps: np.ndarray
-    picture: str = ORIGINAL
 
     def __post_init__(self):
         self.emitter_amps = np.asarray(self.emitter_amps, dtype=complex)
         self.photon_amps = np.asarray(self.photon_amps, dtype=complex)
-        if self.picture not in PICTURES:
-            raise ValueError(f"picture must be one of {PICTURES}, got {self.picture!r}")
         if self.photon_amps.size % 2 != 0:
             raise ValueError("photon amplitude vector must have even length")
 
@@ -159,25 +172,14 @@ class SingleExcitationState:
     def n_emitters(self) -> int:
         return self.emitter_amps.size
 
-    @property
-    def n_cells(self) -> int:
-        return self.photon_amps.size // 2
-
     def vector(self) -> np.ndarray:
         return np.concatenate([self.emitter_amps, self.photon_amps])
-
-    def photon_amp(self, cell: int, sublattice: str) -> complex:
-        """Amplitude on one cavity; sublattice 'a'/'b' or 'alpha'/'beta'."""
-        offset = {"a": 0, "alpha": 0, "b": 1, "beta": 1}[sublattice]
-        return complex(self.photon_amps[2 * (cell - 1) + offset])
 
 
 def excited_emitter_state(params: LatticeParams, layout: EmitterLayout,
                           which: int = 1) -> SingleExcitationState:
-    """Field vacuum with emitter number `which` (1-based) excited, in the
-    original picture."""
-    if not 1 <= which <= layout.n_emitters:
-        raise ValueError(f"emitter index {which} out of range 1..{layout.n_emitters}")
+    """Field vacuum with emitter number `which` (1-based) excited."""
+    require_index("emitter index", which, layout.n_emitters)
     e = np.zeros(layout.n_emitters, dtype=complex)
     e[which - 1] = 1.0
     return SingleExcitationState(e, np.zeros(params.n_modes, dtype=complex))

@@ -126,7 +126,7 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
         ds = bulk_dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
     else:
         ds = edge_dressed_state(cfg.lattice, cfg.g)
-    amps = ds.state.photon_amps  # alpha1, beta1, alpha2, ... (mapped picture)
+    amps = ds.photon_amps  # alpha1, beta1, alpha2, ... (mapped picture)
     labels = [f"{label}{cell}" for cell in range(1, cfg.N + 1)
               for label in ("alpha", "beta")]
     return {"dressed.csv": _csv(

@@ -6,6 +6,7 @@ import pytest
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
                     bulk_dressed_state, coupling_from_dressed,
                     edge_dressed_state, verify_eigenstate)
+from oracles import picture_unitary
 
 
 def _chain(n_cells):
@@ -21,9 +22,8 @@ class TestBulkDressedState:
     def test_cloud_shape(self):
         p = _chain(9)
         ds = bulk_dressed_state(p, 4, 0.1)
-        amps = ds.state.photon_amps
+        amps = ds.photon_amps
         c = 0.1 / (np.sqrt(2) * 2.0)
-        assert ds.state.emitter_amps[0] == 1.0
         assert amps[p.b_index(4)] == pytest.approx(-1j * c)
         assert amps[p.a_index(5)] == pytest.approx(-c)
         assert np.count_nonzero(amps) == 2
@@ -32,7 +32,7 @@ class TestBulkDressedState:
     def test_ring_wraps_the_cloud(self):
         p = LatticeParams(6, 1.0, 1.0, 2.0)
         ds = bulk_dressed_state(p, 6, 0.1)
-        assert ds.state.photon_amps[p.a_index(1)] != 0.0
+        assert ds.photon_amps[p.a_index(1)] != 0.0
 
     def test_residual_scales_as_g_cubed(self):
         p = _chain(9)
@@ -60,6 +60,9 @@ class TestBulkDressedState:
     def test_last_cell_of_chain_rejected(self):
         with pytest.raises(ValueError, match="edge"):
             bulk_dressed_state(_chain(9), 9, 0.1)
+        for cell in (2.0, 1.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                bulk_dressed_state(_chain(9), cell, 0.1)
 
 
 def _edge_cloud_by_cell(params, g):
@@ -78,7 +81,7 @@ class TestEdgeDressedState:
     @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 9, 10, 400])
     def test_cloud_equals_cell_by_cell_form(self, n_cells):
         p = _chain(n_cells)
-        amps = edge_dressed_state(p, 0.05).state.photon_amps
+        amps = edge_dressed_state(p, 0.05).photon_amps
         # bitwise, signs of zero included: dressed.csv writes these bytes
         assert amps.tobytes() == _edge_cloud_by_cell(p, 0.05).tobytes()
 
@@ -95,7 +98,7 @@ class TestEdgeDressedState:
     def test_cloud_fills_the_chain(self):
         p = _chain(7)
         ds = edge_dressed_state(p, 0.1)
-        amps = ds.state.photon_amps
+        amps = ds.photon_amps
         assert np.all(np.abs(amps) > 0)
         c = 0.1 / (np.sqrt(2) * 2.0)
         # doubled weight at the ends of the cloud
@@ -130,10 +133,28 @@ class TestCouplingFromDressed:
         for probe in (3, 5, n_cells - 2):
             assert abs(coupling_from_dressed(ds, probe)) < 1e-15
 
+    @pytest.mark.parametrize("boundary,kind,n_cells,cell", [
+        ("open", "bulk", 2, 1), ("open", "bulk", 9, 1), ("open", "bulk", 9, 8),
+        ("open", "edge", 2, 2), ("open", "edge", 3, 3), ("open", "edge", 10, 10),
+        ("periodic", "bulk", 2, 2), ("periodic", "bulk", 9, 1),
+        ("periodic", "bulk", 9, 8), ("periodic", "bulk", 10, 10)])
+    def test_every_probe_matches_the_dense_rotation(self, boundary, kind,
+                                                    n_cells, cell):
+        p = LatticeParams(n_cells, 1.0, 1.0, 2.0, boundary)
+        g = 0.1
+        ds = (bulk_dressed_state(p, cell, g) if kind == "bulk"
+              else edge_dressed_state(p, g))
+        want = g * (picture_unitary(n_cells).conj().T @ ds.photon_amps)[1::2]
+        got = [coupling_from_dressed(ds, c) for c in range(1, n_cells + 1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_probe_range_checked(self):
         ds = bulk_dressed_state(_chain(9), 4, 0.1)
         with pytest.raises(ValueError):
             coupling_from_dressed(ds, 10)
+        for probe in (3.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                coupling_from_dressed(ds, probe)
 
 
 class TestVerifyEigenstate:
@@ -142,9 +163,7 @@ class TestVerifyEigenstate:
         g = 0.01
         ds = bulk_dressed_state(p, 4, g)
         # undressed emitter misses the cloud
-        bare = dataclasses.replace(ds.state,
-                                   photon_amps=np.zeros_like(ds.state.photon_amps))
-        ds_bad = type(ds)(bare, ds.energy, 4, "bulk", g)
+        ds_bad = dataclasses.replace(ds, photon_amps=np.zeros_like(ds.photon_amps))
         good = verify_eigenstate(_hamiltonian(p, 4, g), ds)
         bad = verify_eigenstate(_hamiltonian(p, 4, g), ds_bad)
         assert bad > 100 * good

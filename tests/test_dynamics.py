@@ -7,10 +7,10 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import nhbath.dynamics
-from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
-                    emitter_populations, evolve, excited_emitter_state,
-                    fit_decay_rate, localization_report, photon_density,
-                    transform_picture)
+from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
+                    build_total_hamiltonian, emitter_populations, evolve,
+                    excited_emitter_state, fit_decay_rate,
+                    localization_report, photon_density)
 from oracles import picture_unitary
 
 
@@ -119,8 +119,9 @@ class TestEvolve:
             evolve(bad, psi0, [0.0, 1.0])
         with pytest.raises(ValueError):
             evolve(H[:-2, :-2], psi0, [0.0, 1.0])
-        with pytest.raises(ValueError, match="original picture"):
-            evolve(H, transform_picture(psi0, "to_mapped"), [0.0, 1.0])
+        with pytest.raises(ValueError, match="initial state"):
+            evolve(H, SingleExcitationState([np.nan], psi0.photon_amps),
+                   [0.0, 1.0])
 
 
 class TestObservables:
@@ -183,6 +184,9 @@ class TestLocalizationReport:
             localization_report(traj, 3, 50.0)
         with pytest.raises(ValueError):
             localization_report(traj, 99, 5.0)
+        for cell in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                localization_report(traj, cell, 5.0)
 
     def test_window_shorter_than_a_step(self):
         # a window holding one sample has no time average (the trapezoid

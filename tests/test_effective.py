@@ -376,3 +376,7 @@ class TestInteractionRange:
             interaction_range(1.0, 0.0)
         with pytest.raises(ValueError):
             interaction_range(-1.0, 1.0)
+        nan, inf = float("nan"), float("inf")
+        for gamma, j in [(nan, 1.0), (1.0, nan), (1.0, inf), (inf, 1.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                interaction_range(gamma, j)

@@ -1,7 +1,7 @@
 """Static checks of the package source: every import and every module-level
-private name is used, no module imports another's private names, the
-public surface names each object once, and each config key is declared
-once."""
+name is used (a public one may instead be exported), no module imports
+another's private names, the public surface names each object once, and
+each config key is declared once."""
 import ast
 from collections import Counter
 from dataclasses import fields
@@ -46,8 +46,8 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-def _module_private_names(tree):
-    """Private (single-underscore) names bound at module level."""
+def _module_names(tree):
+    """Names bound at module level, dunders excluded."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -56,7 +56,7 @@ def _module_private_names(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return {n for n in names if not n.startswith("__")}
 
 
 def _references(tree):
@@ -72,15 +72,26 @@ def _references(tree):
     return refs
 
 
+def _unreferenced_names(private):
+    """Module-level names, private or public, that no module of the package
+    reads; a public name listed in `nhbath.__all__` counts as read."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set(nhbath.__all__).union(*map(_references, trees.values()))
+    return [f"{name}: {n}" for name, tree in trees.items()
+            for n in sorted(_module_names(tree) - used)
+            if n.startswith("_") == private]
+
+
 def test_no_unreferenced_private_names():
     # a private helper, constant or class that no module of the package reads
     # is a leftover of code that was deleted around it
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
-    used = set().union(*map(_references, trees.values()))
-    unused = [f"{name}: {n}" for name, tree in trees.items()
-              for n in sorted(_module_private_names(tree) - used)]
-    assert unused == []
+    assert _unreferenced_names(private=True) == []
+
+
+def test_no_unreferenced_public_names():
+    # so is a public one that the package neither reads nor exports
+    assert _unreferenced_names(private=False) == []
 
 
 def _private_package_imports(tree):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
-                    build_bare_hamiltonian, build_mapped_hamiltonian,
-                    build_total_hamiltonian, intracell_unitary,
-                    transform_picture)
+from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
+                    build_mapped_hamiltonian, build_total_hamiltonian,
+                    intracell_unitary)
+from nhbath.lattice import rotate_cells
 from oracles import operator_to_mapped, picture_unitary
 
 # frozen reference: N=3 ring, t1 = t2 = gamma = 1
@@ -88,20 +88,11 @@ class TestTransformPicture:
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(7)
-        s = SingleExcitationState(rng.normal(size=2) + 0j,
-                                  rng.normal(size=8) + 1j * rng.normal(size=8))
-        m = transform_picture(s, "to_mapped")
-        assert m.picture == "mapped"
-        back = transform_picture(m, "to_original")
-        np.testing.assert_allclose(back.vector(), s.vector(), atol=1e-15)
-        np.testing.assert_allclose(m.emitter_amps, s.emitter_amps)
-
-    def test_wrong_direction_rejected(self):
-        s = SingleExcitationState(np.zeros(1), np.zeros(4))
-        with pytest.raises(ValueError, match="already"):
-            transform_picture(s, "to_original")
-        with pytest.raises(ValueError):
-            transform_picture(s, "sideways")
+        amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        mapped = rotate_cells(amps)
+        np.testing.assert_allclose(mapped, amps @ picture_unitary(4).T, atol=1e-15)
+        np.testing.assert_allclose(rotate_cells(mapped, to_mapped=False), amps,
+                                   atol=1e-15)
 
 
 class TestTotalHamiltonian:

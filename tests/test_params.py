@@ -43,6 +43,10 @@ class TestLatticeParams:
             p.check_cell(6)
         with pytest.raises(ValueError):
             p.check_cell(0)
+        assert p.check_cell(np.int64(5)) == 5
+        for cell in (2.0, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                p.check_cell(cell)
 
     def test_replace(self):
         # callers vary one parameter with dataclasses.replace, which
@@ -60,6 +64,8 @@ class TestEmitterLayout:
         lay = EmitterLayout([3, 1, 7], 0.1)
         assert lay.cells == (3, 1, 7)
         assert lay.n_emitters == 3
+        lay = EmitterLayout(np.array([3, 1]), 0.1)  # drawn by numpy
+        assert lay.cells == (3, 1) and type(lay.cells[0]) is int
 
     def test_duplicate_cells(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -79,6 +85,9 @@ class TestEmitterLayout:
         lay = EmitterLayout([9], 0.1)
         with pytest.raises(ValueError, match="out of range"):
             lay.validate_against(LatticeParams(5, 1.0, 1.0, 1.0))
+        for cells in ([2.9], [True, 2], ["3"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                EmitterLayout(cells, 0.1)
 
 
 class TestWeakCouplingWarnings:
@@ -99,18 +108,7 @@ class TestSingleExcitationState:
         v = s.vector()
         t = SingleExcitationState(v[:1], v[1:])
         assert np.array_equal(s.vector(), t.vector())
-        assert t.n_emitters == 1 and t.n_cells == 3
-
-    def test_photon_amp_lookup(self):
-        amps = np.arange(6) * 1.0
-        s = SingleExcitationState(np.zeros(1), amps)
-        assert s.photon_amp(2, "a") == 2.0
-        assert s.photon_amp(3, "b") == 5.0
-        assert s.photon_amp(3, "beta") == 5.0
-
-    def test_bad_picture(self):
-        with pytest.raises(ValueError):
-            SingleExcitationState(np.zeros(1), np.zeros(4), "weird")
+        assert t.n_emitters == 1
 
     def test_excited_emitter_state(self):
         p = LatticeParams(4, 1.0, 1.0, 1.0)
@@ -120,3 +118,7 @@ class TestSingleExcitationState:
         assert v[1] == 1.0 and np.count_nonzero(v) == 1
         with pytest.raises(ValueError):
             excited_emitter_state(p, lay, which=3)
+        assert excited_emitter_state(p, lay, which=np.int64(2)).vector()[1] == 1.0
+        for which in (1.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                excited_emitter_state(p, lay, which=which)
