@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .params import (LatticeParams, EmitterLayout, SingleExcitationState,
                      excited_emitter_state, weak_coupling_warnings)
-from .lattice import (build_bare_hamiltonian, build_mapped_hamiltonian,
-                      build_total_hamiltonian, intracell_unitary)
+from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
+                      intracell_unitary)
 from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
                        obc_spectrum, band_centroid, point_gap_winding)
 from .dynamics import (Trajectory, LocalizationReport, evolve,
@@ -28,8 +28,7 @@ __all__ = [
     "__version__",
     "LatticeParams", "EmitterLayout", "SingleExcitationState",
     "excited_emitter_state", "weak_coupling_warnings",
-    "build_bare_hamiltonian", "build_mapped_hamiltonian",
-    "build_total_hamiltonian", "intracell_unitary",
+    "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
     "band_centroid", "point_gap_winding",
     "Trajectory", "LocalizationReport", "evolve", "emitter_populations",

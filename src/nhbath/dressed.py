@@ -93,11 +93,13 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
 
 def verify_eigenstate(hamiltonian: np.ndarray, dressed: DressedState) -> float:
     """Residual ||H v - E v|| / ||v|| of a dressed state against the full
-    single-emitter Hamiltonian in the mapped picture, emitter first.
+    single-emitter Hamiltonian in the original picture, emitter first; the
+    cloud is rotated back by `rotate_cells`, which is unitary, so the
+    residual is that of the mapped picture.
 
     Scales as g^3 for a correct dressed state, g^1 for a wrong ansatz.
     """
-    v = np.r_[1.0, dressed.photon_amps]
+    v = np.r_[1.0, rotate_cells(dressed.photon_amps, to_mapped=False)]
     if hamiltonian.shape[0] != v.size:
         raise ValueError("hamiltonian dimension does not match the dressed state")
     r = hamiltonian @ v - dressed.energy * v

@@ -9,9 +9,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from .params import (MAPPED, ORIGINAL, PICTURES, SingleExcitationState,
-                     require_index)
-from .lattice import rotate_cells
+from .params import SingleExcitationState, require_index, require_positive
 
 
 @dataclass
@@ -41,8 +39,8 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
            times: Sequence[float], tol: float = 1e-9) -> Trajectory:
     """Propagate `initial` under `hamiltonian` and sample at `times`.
 
-    Times must start at 0 and increase; H and the state must be finite.
-    On a uniform grid one cached dense step exponential
+    Times must be finite, start at 0 and increase; H and the state must be
+    finite.  On a uniform grid one cached dense step exponential
     expm(-i H dt) is applied per step.  The stepped state at the final time
     is checked against a reference exp(-i H t_max) psi0 computed by
     `expm_multiply` on a CSR copy of H, which never forms the dense
@@ -55,6 +53,8 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
     """
     H = np.asarray(hamiltonian, dtype=complex)
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"sample times must be finite, got {times}")
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two sample times")
     if abs(times[0]) > 1e-15:
@@ -91,14 +91,10 @@ def emitter_populations(traj: Trajectory) -> np.ndarray:
     return np.abs(traj.amplitudes[:, :traj.n_emitters]) ** 2
 
 
-def photon_density(traj: Trajectory, picture: str = ORIGINAL) -> np.ndarray:
-    """Photon mode populations, shape (n_steps, 2N), in the chosen picture."""
-    if picture not in PICTURES:
-        raise ValueError(f"picture must be one of {PICTURES}, got {picture!r}")
-    photons = traj.amplitudes[:, traj.n_emitters:]
-    if picture == MAPPED:
-        photons = rotate_cells(photons)
-    return np.abs(photons) ** 2
+def photon_density(traj: Trajectory) -> np.ndarray:
+    """Original-picture photon mode populations, shape (n_steps, 2N); the
+    mapped ones are np.abs(rotate_cells(photon amplitudes)) ** 2."""
+    return np.abs(traj.amplitudes[:, traj.n_emitters:]) ** 2
 
 
 @dataclass(frozen=True)
@@ -124,6 +120,7 @@ def localization_report(traj: Trajectory, atom_cell: int, t_average: float,
     """Average the photonic density over [0, t_average] and split it into
     local / left-of-emitter / right-of-emitter weights (cells are 1-based).
     On the ring (`periodic`) the local pair of cell N is (N, 1)."""
+    require_positive("t_average", t_average)
     times = traj.times
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")

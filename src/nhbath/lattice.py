@@ -1,10 +1,16 @@
-"""Single-excitation Hamiltonians of the lossy cavity array, in both the
-original (a, b) picture and the intra-cell-rotated (alpha, beta) picture."""
+"""Single-excitation Hamiltonians of the lossy cavity array in the original
+(a, b) picture, and the intra-cell rotation to the (alpha, beta) picture.
+
+Every operator is built in the original picture.  The mapped picture exists
+only as `rotate_cells` on amplitude arrays; conjugated by that rotation the
+photon Hamiltonian is an asymmetric-hopping chain with intra-cell rates
+t1 +/- gamma/2, reciprocal inter-cell rate t2 and on-site loss -i*gamma/2.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from .params import MAPPED, ORIGINAL, EmitterLayout, LatticeParams
+from .params import EmitterLayout, LatticeParams
 
 
 def _assemble(params: LatticeParams, onsite, hop) -> np.ndarray:
@@ -39,21 +45,6 @@ def build_bare_hamiltonian(params: LatticeParams) -> np.ndarray:
                      [[-1j * t2 / 2, t2 / 2], [t2 / 2, 1j * t2 / 2]])
 
 
-def build_mapped_hamiltonian(params: LatticeParams) -> np.ndarray:
-    """Photonic Hamiltonian after the intra-cell rotation, (alpha, beta) basis.
-
-    The rotation turns the model into an asymmetric-hopping chain: intra-cell
-    rates t1 +/- gamma/2 (alpha -> beta gains, beta -> alpha loses), a
-    reciprocal inter-cell rate t2, and a uniform on-site loss -i*gamma/2.
-    Equals the similarity transform of `build_bare_hamiltonian` by
-    `intracell_unitary` on every cell.
-    """
-    t1, t2, gamma = params.t1, params.t2, params.gamma
-    return _assemble(params, [[-1j * gamma / 2, t1 + gamma / 2],
-                              [t1 - gamma / 2, -1j * gamma / 2]],
-                     [[0.0, 0.0], [t2, 0.0]])
-
-
 def intracell_unitary() -> np.ndarray:
     """2x2 rotation from (a, b) to (alpha, beta) amplitudes within one cell."""
     return np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -68,32 +59,17 @@ def rotate_cells(amps: np.ndarray, to_mapped: bool = True) -> np.ndarray:
     return (pairs @ (uc if to_mapped else uc.conj())).reshape(amps.shape)
 
 
-def build_total_hamiltonian(params: LatticeParams, layout: EmitterLayout,
-                            picture: str = ORIGINAL) -> np.ndarray:
-    """Emitters + photons Hamiltonian, emitters first in layout order.
-
-    In the original picture each emitter couples to the lossy cavity of its
-    cell with rate g.  In the mapped picture the same coupling becomes
-    bi-local over the cell: g/sqrt(2) to beta and -+ i g/sqrt(2) to alpha
-    (emitter row -i, alpha row +i).
-    """
+def build_total_hamiltonian(params: LatticeParams,
+                            layout: EmitterLayout) -> np.ndarray:
+    """Emitters + photons Hamiltonian, emitters first in layout order; each
+    emitter couples to the lossy cavity of its cell with rate g."""
     layout.validate_against(params)
-    if picture not in (ORIGINAL, MAPPED):
-        raise ValueError(f"unknown picture {picture!r}")
     ne = layout.n_emitters
     dim = ne + params.n_modes
     H = np.zeros((dim, dim), dtype=complex)
+    H[ne:, ne:] = build_bare_hamiltonian(params)
     em = np.arange(ne)
     b = ne + 2 * (np.array(layout.cells) - 1) + 1
-    if picture == ORIGINAL:
-        H[ne:, ne:] = build_bare_hamiltonian(params)
-        H[em, b] = layout.g
-        H[b, em] = layout.g
-    else:
-        H[ne:, ne:] = build_mapped_hamiltonian(params)
-        gr = layout.g / np.sqrt(2.0)
-        H[em, b] = gr
-        H[b, em] = gr
-        H[em, b - 1] = -1j * gr
-        H[b - 1, em] = 1j * gr
+    H[em, b] = layout.g
+    H[b, em] = layout.g
     return H

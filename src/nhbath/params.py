@@ -11,10 +11,6 @@ PERIODIC = "periodic"
 OPEN = "open"
 BOUNDARIES = (PERIODIC, OPEN)
 
-ORIGINAL = "original"
-MAPPED = "mapped"
-PICTURES = (ORIGINAL, MAPPED)
-
 
 def finite(val) -> bool:
     """True for NaN-free, infinity-free numbers inside the float range."""
@@ -33,6 +29,12 @@ def require_positive(name: str, val) -> None:
 def integer(val) -> bool:
     """True for Python and numpy integers; a bool is not a count or index."""
     return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def require_count(name: str, val, least: int) -> None:
+    """Raise ValueError unless `val` is an integer >= least."""
+    if not (integer(val) and val >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {val!r}")
 
 
 def require_index(name: str, val, n: int) -> None:
@@ -60,8 +62,7 @@ class LatticeParams:
     boundary: str = PERIODIC
 
     def __post_init__(self):
-        if not integer(self.n_cells) or self.n_cells < 2:
-            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        require_count("n_cells", self.n_cells, 2)
         require_positive("t1", self.t1)
         require_positive("t2", self.t2)
         if not (finite(self.gamma) and self.gamma >= 0):
@@ -152,11 +153,11 @@ def weak_coupling_warnings(params: LatticeParams, layout: EmitterLayout) -> list
 @dataclass
 class SingleExcitationState:
     """Amplitudes of a single excitation shared between emitters and photons,
-    always in the original picture.
+    in the original picture, the one every Hamiltonian is built in.
 
     Basis order: emitters first (layout order), then cells 1..N with the two
-    cavities (a, b) per cell.  The mapped (alpha, beta) picture exists only
-    as photon amplitude arrays, rotated by `lattice.rotate_cells`.
+    cavities (a, b) per cell.  `lattice.rotate_cells` turns `photon_amps`
+    into the mapped (alpha, beta) amplitudes.
     """
 
     emitter_amps: np.ndarray

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name
 # here, although open-chain spectra no longer assemble the dense Hamiltonian
 from .lattice import build_bare_hamiltonian
-from .params import LatticeParams
+from .params import LatticeParams, require_count
 
 __all__ = ["SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
            "band_centroid", "point_gap_winding", "build_bare_hamiltonian"]
@@ -77,17 +77,17 @@ def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
 def obc_spectrum(params: LatticeParams) -> SpectrumResult:
     """Spectrum of the finite open chain from its imaginary-gauge chain.
 
-    The chain in the mapped picture (`build_mapped_hamiltonian`: intra-cell
-    hoppings t1 +- gamma/2, inter-cell t2, on-site -i*gamma/2) is
-    tridiagonal, so a diagonal similarity leaves its spectrum a function of
-    the hopping products p = t1^2 - gamma^2/4 and t2^2 alone (Hatano &
-    Nelson, PRL 77, 570 (1996); Yao & Wang, PRL 121, 086803 (2018)).  For
-    p >= 0 the gauge chain with intra-cell hopping sqrt(p) is real symmetric
-    and `eigh_tridiagonal` solves it in O(N^2); at p = 0, the exceptional
-    point, it splits into dimers.  For p < 0 the real chain with intra-cell
-    hoppings +sqrt(-p) and -sqrt(-p), similar by a diagonal unitary to the
-    complex-symmetric gauge chain, goes to dense `eigvals`.  The uniform
-    shift -i*gamma/2 is added last.
+    Rotated cell by cell into the mapped picture (`lattice.rotate_cells`),
+    the chain has intra-cell hoppings t1 +- gamma/2, inter-cell t2 and
+    on-site -i*gamma/2.  It is tridiagonal, so a diagonal similarity leaves
+    its spectrum a function of the hopping products p = t1^2 - gamma^2/4 and
+    t2^2 alone (Hatano & Nelson, PRL 77, 570 (1996); Yao & Wang, PRL 121,
+    086803 (2018)).  For p >= 0 the gauge chain with intra-cell hopping
+    sqrt(p) is real symmetric and `eigh_tridiagonal` solves it in O(N^2); at
+    p = 0, the exceptional point, it splits into dimers.  For p < 0 the real
+    chain with intra-cell hoppings +sqrt(-p) and -sqrt(-p), similar by a
+    diagonal unitary to the complex-symmetric gauge chain, goes to dense
+    `eigvals`.  The uniform shift -i*gamma/2 is added last.
     """
     if params.periodic:
         raise ValueError("obc_spectrum requires open boundary conditions")
@@ -114,6 +114,7 @@ def band_centroid(params: LatticeParams, band: str = "upper",
     """
     if band not in ("upper", "lower"):
         raise ValueError("band must be 'upper' or 'lower'")
+    require_count("n_points", n_points, 1)
     pick = -1 if band == "upper" else 0
     qs = 2 * np.pi * np.arange(n_points) / n_points
     ev = np.linalg.eigvals(bloch_matrix(params, qs))
@@ -125,11 +126,13 @@ def point_gap_winding(params: LatticeParams, e0: complex,
                       n_points: int = 4096) -> int:
     """Integer winding of det(B(q) - e0) around zero as q sweeps the zone.
 
-    Raises if the boundary is not periodic or if e0 (numerically) touches the
-    spectral curve, where the winding is undefined.
+    The sweep takes n_points >= 2 steps (one step from q = 0 to 2*pi would
+    return to its start).  Raises if the boundary is not periodic or if e0
+    (numerically) touches the spectral curve, where the winding is undefined.
     """
     if not params.periodic:
         raise ValueError("point-gap winding is defined for the periodic array")
+    require_count("n_points", n_points, 2)
     m = int(n_points)
     for _ in range(3):
         qs = np.arange(m + 1) * (2 * np.pi / m)

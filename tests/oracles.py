@@ -2,9 +2,11 @@
 
 `picture_unitary` is the full block-diagonal change of picture that
 `nhbath.lattice.rotate_cells` applies one 2x2 cell at a time; tests compare
-the production path with it.  `dense_obc_eig` and `mp_obc_eigenvalues`
-diagonalize the dense open-chain Hamiltonian that `nhbath.obc_spectrum`
-replaces by its imaginary-gauge chain.
+the production path with it.  `operator_to_mapped` conjugates an operator
+by it: the package builds every operator in the original picture only, so
+tests read the mapped-picture Hamiltonians from it.  `dense_obc_eig` and
+`mp_obc_eigenvalues` diagonalize the dense open-chain Hamiltonian that
+`nhbath.obc_spectrum` replaces by its imaginary-gauge chain.
 """
 import mpmath as mp
 import numpy as np

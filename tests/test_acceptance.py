@@ -134,8 +134,7 @@ def test_criterion_07_dressed_state_residual_scaling():
                 ds = bulk_dressed_state(p, 4, g)
             else:
                 ds = edge_dressed_state(p, g)
-            H = build_total_hamiltonian(p, EmitterLayout([ds.source_cell], g),
-                                        picture="mapped")
+            H = build_total_hamiltonian(p, EmitterLayout([ds.source_cell], g))
             res.append(verify_eigenstate(H, ds))
         ratios.append(res[0] / res[1])
     ok = all(abs(r - 8.0) <= 0.15 * 8.0 for r in ratios)

@@ -15,7 +15,7 @@ def _chain(n_cells):
 
 def _hamiltonian(params, source_cell, g):
     lay = EmitterLayout([source_cell], g)
-    return build_total_hamiltonian(params, lay, picture="mapped")
+    return build_total_hamiltonian(params, lay)
 
 
 class TestBulkDressedState:

@@ -9,9 +9,8 @@ from scipy.sparse.linalg import expm_multiply
 import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
                     build_total_hamiltonian, emitter_populations, evolve,
-                    excited_emitter_state, fit_decay_rate,
+                    excited_emitter_state, fit_decay_rate, heff_closed_form,
                     localization_report, photon_density)
-from oracles import picture_unitary
 
 
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):
@@ -113,6 +112,9 @@ class TestEvolve:
             evolve(H, psi0, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve(H, psi0, [0.0, 2.0, 1.0])
+        for times in ([0.0, np.nan], [0.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                evolve(H, psi0, times)
         bad = H.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
@@ -132,31 +134,6 @@ class TestObservables:
         pe = emitter_populations(traj).sum(axis=1)
         pf = photon_density(traj).sum(axis=1)
         np.testing.assert_allclose(pe + pf, 1.0, atol=1e-10)
-
-    def test_density_is_picture_covariant_not_invariant(self):
-        p, lay, H = _setup(gamma=2.0)
-        psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 5, 21))
-        orig = photon_density(traj, picture="original")
-        mapped = photon_density(traj, picture="mapped")
-        # total photonic weight agrees (the rotation is unitary) ...
-        np.testing.assert_allclose(orig.sum(axis=1), mapped.sum(axis=1), atol=1e-10)
-        # ... but the site-resolved profiles differ
-        assert np.max(np.abs(orig - mapped)) > 1e-4
-
-    @pytest.mark.parametrize("boundary", ["periodic", "open"])
-    def test_mapped_density_matches_picture_unitary(self, boundary):
-        p = LatticeParams(6, 1.0, 1.0, 1.4, boundary)
-        lay = EmitterLayout([2, 5], 0.2)
-        H = build_total_hamiltonian(p, lay)
-        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 4, 9))
-        U = picture_unitary(p.n_cells, lay.n_emitters)
-        want = np.array([np.abs(U @ v)[lay.n_emitters:] ** 2
-                         for v in traj.amplitudes])
-        np.testing.assert_allclose(photon_density(traj, "mapped"), want,
-                                   rtol=0, atol=1e-15)
-        with pytest.raises(ValueError, match="picture"):
-            photon_density(traj, "rotated")
 
 
 class TestLocalizationReport:
@@ -199,6 +176,9 @@ class TestLocalizationReport:
                 localization_report(traj, 3, 0.1)
             with pytest.raises(ValueError, match="time step"):
                 localization_report(traj, 3, 0.5 - 1e-9)
+            for t_average in (np.nan, -1.0):
+                with pytest.raises(ValueError, match="t_average must be finite"):
+                    localization_report(traj, 3, t_average)
             rep = localization_report(traj, 3, 0.5)  # exactly one step
         assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
@@ -224,31 +204,52 @@ class TestLocalizationReport:
         assert unwrapped[-1].p_local < 0.6
 
 
+def _directional_populations(params, layout, times):
+    """|c_m|^2 = exp(-2 Gamma t) (Gamma t)^(2(m-1)) / ((m-1)!)^2 with
+    Gamma = g^2/(4J): the solution of dc_m/dt = -Gamma c_m + Gamma c_(m-1)
+    from emitter 1 excited, the Markov limit at gamma = 2J."""
+    x = layout.g ** 2 / (4 * params.t1) * times[:, None]
+    m = np.arange(layout.n_emitters)
+    return (np.exp(-2 * x) * x ** (2 * m)
+            / np.array([math.factorial(k) for k in m], float) ** 2)
+
+
+def _heff_populations(params, layout, times):
+    """|c_m|^2 from emitter 1 excited under i dc/dt = H_eff c, stepped by
+    expm(-i H_eff dt) of the exact closed-form H_eff."""
+    heff = heff_closed_form(params, layout, form="finite").entries
+    step = expm(-1j * heff * (times[1] - times[0]))
+    c = np.zeros((times.size, layout.n_emitters), dtype=complex)
+    c[0, 0] = 1.0
+    for k in range(1, times.size):
+        c[k] = step @ c[k - 1]
+    return np.abs(c) ** 2
+
+
 class TestMarkovLimit:
-    """Emitters in consecutive cells at gamma = 2J obey dc_m/dt = -Gamma c_m
-    + Gamma c_(m-1) in the Markov limit, so from emitter 1 excited
-    |c_m|^2 = exp(-2 Gamma t) (Gamma t)^(2(m-1)) / ((m-1)!)^2; the full
-    dynamics approaches it as g^2, on either boundary."""
+    """Emitters in consecutive cells obey i dc/dt = H_eff c in the Markov
+    limit; the full dynamics approaches that as g^2, on either boundary.  At
+    gamma = 2J the oracle is the closed-form solution of the directional
+    chain, at gamma = J the stepped exponential of the closed-form H_eff."""
 
     @staticmethod
-    def _max_deviation(g, boundary):
-        p = LatticeParams(40, 1.0, 1.0, 2.0, boundary)
+    def _max_deviation(oracle, gamma, g, boundary):
+        p = LatticeParams(40, 1.0, 1.0, gamma, boundary)
         lay = EmitterLayout([10, 11, 12, 13], g)
-        rate = g ** 2 / 4
-        times = np.linspace(0, 6 / rate, 301)
+        times = np.linspace(0, 6 / (g ** 2 / 4), 301)
         traj = evolve(build_total_hamiltonian(p, lay),
                       excited_emitter_state(p, lay), times)
-        x = rate * times[:, None]
-        m = np.arange(4)
-        markov = (np.exp(-2 * x) * x ** (2 * m)
-                  / np.array([math.factorial(k) for k in m], float) ** 2)
-        return np.abs(emitter_populations(traj) - markov).max()
+        return np.abs(emitter_populations(traj) - oracle(p, lay, times)).max()
 
-    def test_deviation_scales_as_g_squared_on_both_boundaries(self):
-        dev = {(g, b): self._max_deviation(g, b)
+    @pytest.mark.parametrize("gamma,oracle,bound", [
+        pytest.param(2.0, _directional_populations, 1e-3, id="gamma=2J"),
+        pytest.param(1.0, _heff_populations, 2e-3, id="gamma=J")])
+    def test_deviation_scales_as_g_squared_on_both_boundaries(self, gamma,
+                                                              oracle, bound):
+        dev = {(g, b): self._max_deviation(oracle, gamma, g, b)
                for g in (0.2, 0.1) for b in ("open", "periodic")}
         for b in ("open", "periodic"):
-            assert dev[0.1, b] < 1e-3
+            assert dev[0.1, b] < bound
             assert dev[0.2, b] / dev[0.1, b] == pytest.approx(4.0, rel=0.1)
         for g in (0.2, 0.1):  # irrespective of the boundary conditions
             assert dev[g, "periodic"] == pytest.approx(dev[g, "open"], rel=2e-4)

@@ -134,9 +134,10 @@ class TestDenseSpectrum:
 
 
 class TestPointGapWinding:
-    def test_nontrivial_loop(self):
+    @pytest.mark.parametrize("n_points", [2, 4096])  # the fewest, the default
+    def test_nontrivial_loop(self, n_points):
         p = LatticeParams(8, 1.0, 2.0, 1.0)
-        w = point_gap_winding(p, band_centroid(p, "upper"))
+        w = point_gap_winding(p, band_centroid(p, "upper"), n_points=n_points)
         assert w == -1
 
     def test_hermitian_spectrum_cannot_wind(self):
@@ -157,6 +158,13 @@ class TestPointGapWinding:
         with pytest.raises(ValueError):
             point_gap_winding(p, 1.0 + 0.0j)  # inside the real spectral band
 
+    @pytest.mark.parametrize("n_points", [1, 2.5, 0, -3, True])
+    def test_n_points_must_be_an_integer_of_at_least_two(self, n_points):
+        # one step runs from q = 0 to q = 2 pi, the same point: winding 0
+        p = LatticeParams(8, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
+            point_gap_winding(p, band_centroid(p, "upper"), n_points=n_points)
+
 
 class TestBandCentroid:
     def test_loss_split_between_bands(self):
@@ -169,3 +177,8 @@ class TestBandCentroid:
     def test_bad_band(self):
         with pytest.raises(ValueError):
             band_centroid(LatticeParams(8, 1.0, 2.0, 1.0), "middle")
+
+    @pytest.mark.parametrize("n_points", [0, True, 2.5])
+    def test_n_points_must_be_a_positive_integer(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+            band_centroid(LatticeParams(8, 1.0, 2.0, 1.0), n_points=n_points)
