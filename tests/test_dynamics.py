@@ -11,6 +11,13 @@ from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
                     build_total_hamiltonian, emitter_populations, evolve,
                     excited_emitter_state, fit_decay_rate, heff_closed_form,
                     localization_report, photon_density)
+from nhbath.lattice import rotate_cells
+from oracles import picture_unitary
+
+
+def _mapped_density(traj):
+    """Mapped-picture photon populations, as `photon_density` documents."""
+    return np.abs(rotate_cells(traj.amplitudes[:, traj.n_emitters:])) ** 2
 
 
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):
@@ -134,6 +141,29 @@ class TestObservables:
         pe = emitter_populations(traj).sum(axis=1)
         pf = photon_density(traj).sum(axis=1)
         np.testing.assert_allclose(pe + pf, 1.0, atol=1e-10)
+
+    def test_density_is_picture_covariant_not_invariant(self):
+        p, lay, H = _setup(gamma=2.0)
+        psi0 = excited_emitter_state(p, lay)
+        traj = evolve(H, psi0, np.linspace(0, 5, 21))
+        orig = photon_density(traj)
+        mapped = _mapped_density(traj)
+        # total photonic weight agrees (the rotation is unitary) ...
+        np.testing.assert_allclose(orig.sum(axis=1), mapped.sum(axis=1), atol=1e-10)
+        # ... but the site-resolved profiles differ
+        assert np.max(np.abs(orig - mapped)) > 1e-4
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_mapped_density_matches_picture_unitary(self, boundary):
+        p = LatticeParams(6, 1.0, 1.0, 1.4, boundary)
+        lay = EmitterLayout([2, 5], 0.2)
+        H = build_total_hamiltonian(p, lay)
+        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 4, 9))
+        U = picture_unitary(p.n_cells, lay.n_emitters)
+        want = np.array([np.abs(U @ v)[lay.n_emitters:] ** 2
+                         for v in traj.amplitudes])
+        np.testing.assert_allclose(_mapped_density(traj), want,
+                                   rtol=0, atol=1e-15)
 
 
 class TestLocalizationReport:
