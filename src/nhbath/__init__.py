@@ -15,8 +15,9 @@ from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
 from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
                        obc_spectrum, band_centroid, point_gap_winding)
 from .dynamics import (Trajectory, LocalizationReport, evolve,
-                       emitter_populations, photon_density,
-                       localization_report, fit_decay_rate)
+                       stacked_cell_weights, emitter_populations,
+                       photon_density, cell_weights, localization_report,
+                       fit_decay_rate)
 from .effective import (EffectiveCouplingMatrix, greens_obc, heff_numeric,
                         heff_closed_form, interaction_range)
 from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
@@ -31,8 +32,9 @@ __all__ = [
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
     "band_centroid", "point_gap_winding",
-    "Trajectory", "LocalizationReport", "evolve", "emitter_populations",
-    "photon_density", "localization_report", "fit_decay_rate",
+    "Trajectory", "LocalizationReport", "evolve", "stacked_cell_weights",
+    "emitter_populations", "photon_density", "cell_weights",
+    "localization_report", "fit_decay_rate",
     "EffectiveCouplingMatrix", "greens_obc", "heff_numeric",
     "heff_closed_form", "interaction_range",
     "DressedState", "bulk_dressed_state", "edge_dressed_state",

@@ -10,8 +10,8 @@ from .dressed import dressed_state_problems
 from .effective import closed_form_problems
 from .params import BOUNDARIES, EmitterLayout, LatticeParams, finite, integer
 
-# experiment -> the keys it reads beyond the lattice keys, output_dir, tol
-# and any gamma_values given; an experiment that reads cells has emitters
+# experiment -> the keys it reads beyond the lattice keys, output_dir and
+# any gamma_values given; an experiment that reads cells has emitters
 _READS = {
     "spectrum": (),
     "emit": ("g", "cells", "t_max", "n_points", "t_av"),
@@ -24,7 +24,7 @@ EXPERIMENTS = tuple(_READS)
 _LATTICE = ("N", "t1", "t2", "gamma", "boundary")  # LatticeParams' arguments
 # read by every experiment and kept in its canonical text (gamma_values when
 # given)
-_COMMON = ("experiment", *_LATTICE, "output_dir", "tol", "gamma_values")
+_COMMON = ("experiment", *_LATTICE, "output_dir", "gamma_values")
 # input a `dressed_state_problems` reason names -> the config key it comes from
 _DRESSED_INPUTS = {"params": "dressed", "kind": "dressed_kind", "cell": "cells"}
 
@@ -92,7 +92,6 @@ KNOWN_KEYS = {
     "heff_method": (_one_of("numeric", "finite", "asymptotic"), "numeric", str),
     "dressed_kind": (_one_of("bulk", "edge"), "bulk", str),
     "output_dir": (_text, "out", str),  # directory for result files
-    "tol": (_POSITIVE, 1e-9, float),  # tolerance of the propagation checks
 }
 
 
@@ -126,7 +125,6 @@ class ExperimentConfig:
     heff_method: str
     dressed_kind: str
     output_dir: str
-    tol: float
 
     @property
     def lattice(self) -> LatticeParams:
@@ -146,8 +144,8 @@ class ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text of the keys the experiment reads.
 
-    The lattice keys, `output_dir`, `tol` and any `gamma_values` given are
-    always kept; the other keys only for the experiments that read them (see
+    The lattice keys, `output_dir` and any `gamma_values` given are always
+    kept; the other keys only for the experiments that read them (see
     `_READS`).  parse_config(serialize_config(cfg)) == cfg.
     """
     return json.dumps(cfg.flat_dict(), sort_keys=True, indent=2) + "\n"

@@ -1,13 +1,12 @@
 """Non-unitary time evolution and derived observables."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import block_diag, csr_array
 
 from .params import SingleExcitationState, require_index, require_positive
 
@@ -35,23 +34,46 @@ class Trajectory:
         return np.linalg.norm(self.amplitudes, axis=1)
 
 
-def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
-           times: Sequence[float], tol: float = 1e-9) -> Trajectory:
-    """Propagate `initial` under `hamiltonian` and sample at `times`.
+def _taylor_degree(x: float) -> int:
+    """Least m with x^(m+1)/(m+1)! * e^x <= 2^-53: then the degree-m Taylor
+    polynomial T_m(B) of exp(B) obeys ||exp(B) - T_m(B)||_1 <= 2^-53 for
+    every matrix B with ||B||_1 <= x, normal or not."""
+    m, bound = 0, x * math.exp(x)
+    while bound > 2.0 ** -53:
+        m += 1
+        bound *= x / (m + 1)
+    return m
 
-    Times must be finite, start at 0 and increase; H and the state must be
-    finite.  On a uniform grid one cached dense step exponential
-    expm(-i H dt) is applied per step.  The stepped state at the final time
-    is checked against a reference exp(-i H t_max) psi0 computed by
-    `expm_multiply` on a CSR copy of H, which never forms the dense
-    exponential; if they differ by more than tol * max(1, |reference|), every
-    sample is recomputed as expm(-i H t) psi0.  Non-uniform grids always use
-    those per-sample exponentials.  `expm_multiply` estimates 1-norms with
-    `onenormest`, which draws from numpy's global random state (so a call
-    advances that state); the stepped amplitudes never depend on it, and
-    the reference enters only through the drift test.
+
+def _taylor_steps(H: csr_array, psi: np.ndarray, times: np.ndarray):
+    """Yield the solution of i d(psi)/dt = H psi at every sample time.
+
+    Each interval dt is one step exp(A) psi with A = -i H dt, taken as
+    s = ceil(||A||_1) substeps of the degree-m Taylor polynomial of
+    exp(A/s), m = _taylor_degree(||A||_1 / s) (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)).  ||A/s||_1 <= 1 keeps the rounding of
+    the series small, and the truncation bound holds a priori, so no step
+    is checked after the fact.  ||H||_1 is computed exactly, once.
     """
-    H = np.asarray(hamiltonian, dtype=complex)
+    norm = float(abs(H).sum(axis=0).max())
+    yield psi
+    for dt in np.diff(times):
+        s = max(1, math.ceil(norm * dt))
+        m = _taylor_degree(norm * dt / s)
+        c = -1j * dt / s
+        for _ in range(s):
+            term, psi = psi, psi.copy()
+            for j in range(1, m + 1):
+                term = H @ term
+                term *= c / j
+                psi += term
+        yield psi
+
+
+def _checked(hamiltonian, initial: SingleExcitationState, times):
+    """(CSR H, initial vector, float times) after the checks every
+    propagation makes: finite times starting at 0 and increasing, finite
+    H and state of matching dimensions."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"sample times must be finite, got {times}")
@@ -59,31 +81,57 @@ def evolve(hamiltonian: np.ndarray, initial: SingleExcitationState,
         raise ValueError("need at least two sample times")
     if abs(times[0]) > 1e-15:
         raise ValueError("time grid must start at t = 0")
-    dts = np.diff(times)
-    if np.any(dts <= 0):
+    if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    if not np.all(np.isfinite(H)):
+    H = csr_array(hamiltonian, dtype=complex)
+    if not np.all(np.isfinite(H.data)):
         raise ValueError("hamiltonian contains non-finite entries")
     psi0 = initial.vector()
     if not np.all(np.isfinite(psi0)):
         raise ValueError("initial state contains non-finite amplitudes")
-    if H.shape[0] != psi0.size:
+    if H.shape != (psi0.size, psi0.size):
         raise ValueError("state dimension does not match the hamiltonian")
+    return H, psi0, times
 
-    uniform = np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)
+
+def evolve(hamiltonian, initial: SingleExcitationState,
+           times: Sequence[float]) -> Trajectory:
+    """Propagate `initial` under `hamiltonian` (dense or sparse) and sample
+    at `times`.
+
+    Times must be finite, start at 0 and increase; H and the state must be
+    finite.  Every interval, uniform grid or not, is one bounded Taylor
+    step on a CSR copy of H (see `_taylor_steps`).
+    """
+    H, psi0, times = _checked(hamiltonian, initial, times)
     amps = np.empty((times.size, psi0.size), dtype=complex)
-    amps[0] = psi0
-    if uniform:
-        U = expm(-1j * H * dts[0])
-        for k in range(1, times.size):
-            amps[k] = U @ amps[k - 1]
-        ref = expm_multiply(-1j * times[-1] * csr_matrix(H), psi0)
-        if np.linalg.norm(amps[-1] - ref) > tol * max(1.0, np.linalg.norm(ref)):
-            uniform = False  # stepping drifted; fall back to direct sampling
-    if not uniform:
-        for k in range(1, times.size):
-            amps[k] = expm(-1j * H * times[k]) @ psi0
+    for k, psi in enumerate(_taylor_steps(H, psi0, times)):
+        amps[k] = psi
     return Trajectory(times.copy(), amps, initial.n_emitters)
+
+
+def stacked_cell_weights(hamiltonians: Iterable, initial: SingleExcitationState,
+                         times: Sequence[float]) -> np.ndarray:
+    """Photon weight per cell of every system, shape (n_steps, n_systems, N).
+
+    Propagates `initial` under each Hamiltonian (all of one dimension) as one
+    block-diagonal CSR system with the kernel of `evolve`, under the same
+    checks, and keeps only the cell weights of each step, not the
+    amplitudes.  Each Hamiltonian is converted to CSR as it is read, so an
+    iterator of dense matrices never holds more than one of them.
+    """
+    blocks = []
+    for H in hamiltonians:
+        H, psi0, times = _checked(H, initial, times)
+        blocks.append(H)
+    if not blocks:
+        raise ValueError("need at least one hamiltonian")
+    stack = block_diag(blocks, format="csr")
+    n_sys, ne = len(blocks), initial.n_emitters
+    weights = np.empty((times.size, n_sys, (psi0.size - ne) // 2))
+    for k, psi in enumerate(_taylor_steps(stack, np.tile(psi0, n_sys), times)):
+        weights[k] = cell_weights(np.abs(psi.reshape(n_sys, -1)[:, ne:]) ** 2)
+    return weights
 
 
 def emitter_populations(traj: Trajectory) -> np.ndarray:
@@ -115,25 +163,37 @@ class LocalizationReport:
     t_average: float
 
 
-def localization_report(traj: Trajectory, atom_cell: int, t_average: float,
+def cell_weights(density: np.ndarray) -> np.ndarray:
+    """Photon weight per cell, a + b, from mode populations (..., 2N) ->
+    (..., N)."""
+    return density[..., 0::2] + density[..., 1::2]
+
+
+def localization_report(times: Sequence[float], weights: np.ndarray,
+                        atom_cell: int, t_average: float,
                         periodic: bool = False) -> LocalizationReport:
-    """Average the photonic density over [0, t_average] and split it into
-    local / left-of-emitter / right-of-emitter weights (cells are 1-based).
-    On the ring (`periodic`) the local pair of cell N is (N, 1)."""
+    """Average the cell weights, shape (n_steps, N) at `times` (see
+    `cell_weights`), over [0, t_average] and split them into local /
+    left-of-emitter / right-of-emitter weights (cells are 1-based).  On the
+    ring (`periodic`) the local pair of cell N is (N, 1)."""
     require_positive("t_average", t_average)
-    times = traj.times
+    times = np.asarray(times, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if times.ndim != 1 or times.size < 2 or weights.shape[:1] != times.shape \
+            or weights.ndim != 2:
+        raise ValueError(f"need cell weights of shape (n_steps, N) at n_steps "
+                         f">= 2 sample times, got {weights.shape} at "
+                         f"{times.shape}")
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")
     mask = times <= t_average + 1e-12
     if mask.sum() < 2:
         raise ValueError(f"t_average {t_average} is shorter than the first "
                          f"time step {times[1]}")
-    dens = photon_density(traj)[mask]
     tms = times[mask]
-    cell_prob = dens[:, 0::2] + dens[:, 1::2]
-    n_cells = cell_prob.shape[1]
+    n_cells = weights.shape[1]
     require_index("atom_cell", atom_cell, n_cells)
-    avg = np.trapezoid(cell_prob, tms, axis=0) / (tms[-1] - tms[0])
+    avg = np.trapezoid(weights[mask], tms, axis=0) / (tms[-1] - tms[0])
     c = atom_cell - 1
     wrap = periodic and atom_cell == n_cells  # cell 1 is cell N's partner
     local = avg[c] + (avg[(c + 1) % n_cells] if c + 1 < n_cells or wrap else 0.0)

@@ -123,8 +123,11 @@ class EmitterLayout:
         return len(self.cells)
 
     def validate_against(self, params: LatticeParams) -> None:
+        """Raise ValueError unless every cell lies in 1..N (the constructor
+        has already checked that each is an integer)."""
         for c in self.cells:
-            params.check_cell(c)
+            if not 1 <= c <= params.n_cells:
+                raise ValueError(f"cell index {c} out of range 1..{params.n_cells}")
 
 
 def weak_coupling_warnings(params: LatticeParams, layout: EmitterLayout) -> list:

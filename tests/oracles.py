@@ -7,9 +7,12 @@ by it: the package builds every operator in the original picture only, so
 tests read the mapped-picture Hamiltonians from it.  `dense_obc_eig` and
 `mp_obc_eigenvalues` diagonalize the dense open-chain Hamiltonian that
 `nhbath.obc_spectrum` replaces by its imaginary-gauge chain.
+`expm_stepped` propagates with the dense exponential of every interval,
+which `nhbath.evolve` replaces by its bounded Taylor steps.
 """
 import mpmath as mp
 import numpy as np
+from scipy.linalg import expm
 
 from nhbath import build_bare_hamiltonian, intracell_unitary
 
@@ -56,3 +59,13 @@ def hausdorff(x, y):
     """Hausdorff distance between two finite sets of complex numbers."""
     d = np.abs(np.asarray(x)[:, None] - np.asarray(y)[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def expm_stepped(H, psi0, times):
+    """States at every sample time, shape (n_steps, dim): psi0 stepped
+    interval by interval with scipy's dense expm(-i H dt)."""
+    H = np.asarray(H, dtype=complex)
+    out = [np.asarray(psi0, dtype=complex)]
+    for dt in np.diff(times):
+        out.append(expm(-1j * H * dt) @ out[-1])
+    return np.array(out)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from nhbath import (EmitterLayout, LatticeParams, band_centroid,
-                    build_total_hamiltonian, bulk_dressed_state,
+                    build_total_hamiltonian, bulk_dressed_state, cell_weights,
                     edge_dressed_state, emitter_populations, evolve,
                     excited_emitter_state, fit_decay_rate, heff_closed_form,
                     heff_numeric, interaction_range, localization_report,
-                    obc_spectrum, point_gap_winding, verify_eigenstate)
+                    obc_spectrum, photon_density, point_gap_winding,
+                    verify_eigenstate)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -113,7 +114,8 @@ def test_criterion_06_localization_cusp():
         p = LatticeParams(100, 1.0, 1.0, float(gamma), "open")
         H = build_total_hamiltonian(p, lay)
         traj = evolve(H, excited_emitter_state(p, lay), times)
-        rep = localization_report(traj, 15, 20.0)
+        rep = localization_report(traj.times, cell_weights(photon_density(traj)),
+                                  15, 20.0)
         rows.append((rep.p_local, rep.p_right))
     p_loc = np.array([r[0] for r in rows])
     at = int(np.argmax(p_loc))

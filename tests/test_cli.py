@@ -58,7 +58,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()  # fail-fast: no partial output
 
     @pytest.mark.parametrize("override", ["gamma=NaN", "g=Infinity",
-                                          "t_max=Infinity", "tol=NaN"])
+                                          "t_max=Infinity"])
     @pytest.mark.parametrize("command", ["heff", "emit", "spectrum"])
     def test_non_finite_number_exits_2_and_writes_nothing(
             self, tmp_path, capsys, command, override):
@@ -67,6 +67,16 @@ class TestCli:
                            output_dir=str(tmp_path / "out"))
         assert main([command, "--config", cfg, "--set", override]) == 2
         assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["heff", "emit", "spectrum"])
+    def test_tol_is_an_unknown_key(self, tmp_path, capsys, command):
+        # the propagation is bounded a priori and has no tolerance to set
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=1.0,
+                           boundary="open", g=0.05, cells=[3],
+                           output_dir=str(tmp_path / "out"))
+        assert main([command, "--config", cfg, "--set", "tol=1e-9"]) == 2
+        assert "unknown key 'tol'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["emit", "sweep-gamma"])
@@ -172,9 +182,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "96c01d876a53fa8c9992734b6e84378a185be4c08c1472c52cf0f662c2a716aa"),
+         "a371f96af3278aa82b2874927e836bae70f6477561fedc3c7dee56c48a883ab7"),
         ("sweep-gamma", "sweep.csv",
-         "78ab63aa628cf9d4e63e14af43ea8d0154c7a2db149d78266c6d6a505a4a474a")])
+         "fcca12f7eccf554e8d83f6820ca5a35687f7ecfb59966aea4f5d477989229656")])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
                                                          command, name, digest):
         rows = {}

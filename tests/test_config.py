@@ -22,7 +22,7 @@ class TestParseConfig:
         assert cfg.lattice.n_cells == 8
         assert cfg.lattice.periodic
         assert cfg.emitters is None
-        assert cfg.tol == 1e-9  # documented default
+        assert cfg.output_dir == "out"  # documented default
 
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -37,6 +37,10 @@ class TestParseConfig:
         raw = json.loads(MINIMAL_SPECTRUM)
         raw["gama"] = 1.0
         with pytest.raises(ConfigError, match="unknown key 'gama'"):
+            parse_config(json.dumps(raw))
+        del raw["gama"]
+        raw["tol"] = 1e-9  # the propagation has no tolerance to set
+        with pytest.raises(ConfigError, match="unknown key 'tol'"):
             parse_config(json.dumps(raw))
 
     def test_all_problems_reported_at_once(self):
@@ -97,7 +101,7 @@ class TestParseConfig:
                "gamma": 2.0, "boundary": "open", "g": 0.1, "cells": [15],
                "t_max": 20.0, "n_points": 201, "t_av": 20.0,
                "gamma_values": [round(0.1 * k, 10) for k in range(1, 41)],
-               "output_dir": "out", "tol": 1e-9}
+               "output_dir": "out"}
         cfg = parse_config(json.dumps(raw))
         text = serialize_config(cfg)
         again = parse_config(text)
@@ -127,9 +131,9 @@ class TestParseConfig:
                 "g": 0.05, "cells": [3], "excited_emitter": 1, "t_max": 3.0,
                 "n_points": 31, "t_av": 3.0, "gamma_values": [1.0, 2.0],
                 "heff_method": "finite", "dressed_kind": "bulk",
-                "output_dir": "o", "tol": 1e-8}
+                "output_dir": "o"}
         common = {"experiment", "N", "t1", "t2", "gamma", "boundary",
-                  "output_dir", "tol", "gamma_values"}
+                  "output_dir", "gamma_values"}
         emitters = {"g", "cells"}
         cases = {
             "spectrum": ({}, common),

@@ -1,23 +1,30 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
-                    build_total_hamiltonian, emitter_populations, evolve,
-                    excited_emitter_state, fit_decay_rate, heff_closed_form,
-                    localization_report, photon_density)
+                    build_total_hamiltonian, cell_weights, emitter_populations,
+                    evolve, excited_emitter_state, fit_decay_rate,
+                    heff_closed_form, localization_report, parse_config,
+                    photon_density, run_experiment, stacked_cell_weights)
 from nhbath.lattice import rotate_cells
-from oracles import picture_unitary
+from oracles import expm_stepped, picture_unitary
 
 
 def _mapped_density(traj):
     """Mapped-picture photon populations, as `photon_density` documents."""
     return np.abs(rotate_cells(traj.amplitudes[:, traj.n_emitters:])) ** 2
+
+
+def _localize(traj, *args, **kwargs):
+    """`localization_report` of a trajectory's photon cell weights."""
+    return localization_report(traj.times, cell_weights(photon_density(traj)),
+                               *args, **kwargs)
 
 
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):
@@ -53,62 +60,83 @@ class TestEvolve:
         psi0 = excited_emitter_state(p, lay)
         uniform = np.linspace(0, 3, 7)
         jitter = uniform.copy()
-        jitter[3] += 1e-4  # breaks uniformity, forces direct exponentials
+        jitter[3] += 1e-4  # two intervals of their own length
         tu = evolve(H, psi0, uniform)
         tj = evolve(H, psi0, jitter)
         for k in (1, 2, 5, 6):
             np.testing.assert_allclose(tu.amplitudes[k],
                                        tj.amplitudes[k], atol=1e-9)
 
-    @pytest.mark.parametrize("tol, n_expm", [(1e-9, 2), (0.0, 8)])
-    def test_every_sample_matches_direct_exponential(self, monkeypatch, tol,
-                                                     n_expm):
-        # n_expm counts all exponentials: the step is one dense expm and the
-        # drift reference one sparse expm_multiply; tol = 0 rejects any
-        # stepping drift and adds one expm per sample after t = 0,
-        # 2 + 6 calls on this 7-point grid
-        p, lay, H = _setup(gamma=1.3)
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 4.0, 20.0])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_matches_dense_expm_stepping(self, boundary, n, gamma):
+        p, lay, H = _setup(n=n, gamma=gamma, g=0.3, boundary=boundary, cell=n)
         psi0 = excited_emitter_state(p, lay)
-        times = np.linspace(0, 6, 7)
-        calls, ref_calls = [], []
+        times = np.linspace(0, 10, 41)
+        traj = evolve(H, psi0, times)
+        np.testing.assert_allclose(traj.amplitudes,
+                                   expm_stepped(H, psi0.vector(), times),
+                                   rtol=0, atol=1e-13)
 
-        def spy(a):
-            calls.append(a)
-            return expm(a)
-
-        def ref_spy(a, v):
-            ref_calls.append(a)
-            return expm_multiply(a, v)
-
-        monkeypatch.setattr(nhbath.dynamics, "expm", spy)
-        monkeypatch.setattr(nhbath.dynamics, "expm_multiply", ref_spy)
-        traj = evolve(H, psi0, times, tol=tol)
-        assert len(ref_calls) == 1
-        assert len(calls) + len(ref_calls) == n_expm
-        for t, amps in zip(times, traj.amplitudes):
-            np.testing.assert_allclose(amps, expm(-1j * H * t) @ psi0.vector(),
-                                       rtol=0, atol=1e-12)
-
-    def test_independent_of_global_random_state(self, monkeypatch):
-        # expm_multiply's 1-norm estimates draw from numpy's global state
-        # (here ||H t||_1 is large enough that they do); neither the drift
-        # reference nor the amplitudes may depend on the seed
-        p, lay, H = _setup(n=40, gamma=2.0, cell=20)
+    @pytest.mark.parametrize("boundary, gamma", [("periodic", 2.0),
+                                                 ("open", 4.0)])
+    def test_non_uniform_grid_matches_dense_expm_stepping(self, boundary,
+                                                          gamma):
+        p, lay, H = _setup(n=7, gamma=gamma, g=0.3, boundary=boundary, cell=4)
         psi0 = excited_emitter_state(p, lay)
-        times = np.linspace(0, 20, 41)
-        refs, runs = [], []
+        dts = np.random.default_rng(5).uniform(1e-3, 1.5, 30)
+        times = np.r_[0.0, np.cumsum(dts)]
+        traj = evolve(H, psi0, times)
+        np.testing.assert_allclose(traj.amplitudes,
+                                   expm_stepped(H, psi0.vector(), times),
+                                   rtol=0, atol=1e-13)
 
-        def ref_spy(a, v):
-            refs.append(expm_multiply(a, v))
-            return refs[-1]
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_coarse_grid_takes_substeps(self, monkeypatch, boundary):
+        # ||H||_1 dt = 40: every interval is split into substeps with
+        # ||A||_1 <= 1, each taken to the degree the a-priori bound asks for
+        p, lay, H = _setup(n=7, gamma=2.0, g=0.3, boundary=boundary, cell=7)
+        psi0 = excited_emitter_state(p, lay)
+        times = 40.0 / np.abs(H).sum(axis=0).max() * np.arange(6)
+        degree, xs = nhbath.dynamics._taylor_degree, []
 
-        monkeypatch.setattr(nhbath.dynamics, "expm_multiply", ref_spy)
-        for seed in (0, 1):
-            np.random.seed(seed)
-            runs.append(evolve(H, psi0, times).amplitudes)
-        assert len(refs) == 2
-        np.testing.assert_array_equal(refs[0], refs[1])
-        np.testing.assert_array_equal(runs[0], runs[1])
+        def degree_spy(x):
+            xs.append(x)
+            return degree(x)
+
+        monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
+        traj = evolve(H, psi0, times)
+        assert len(xs) == 5 and all(0.95 < x <= 1.0 for x in xs)
+        np.testing.assert_allclose(traj.amplitudes,
+                                   expm_stepped(H, psi0.vector(), times),
+                                   rtol=0, atol=1e-13)
+
+    def test_one_full_substep_is_exact_to_rounding(self):
+        # ||H||_1 dt = 1 exactly: one substep at x = 1, degree 18, whose
+        # truncation (~1/19!) is far below rounding; two degrees fewer
+        # would leave ~1/17! = 2.8e-15
+        lam = np.array([1.0, -1.0, -0.5j])
+        psi0 = SingleExcitationState([0.6], [0.0, 0.8j])
+        traj = evolve(np.diag(lam), psi0, [0.0, 1.0])
+        np.testing.assert_allclose(traj.amplitudes[1],
+                                   np.exp(-1j * lam) * psi0.vector(),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0])
+    def test_degree_is_the_least_that_meets_the_bound(self, x):
+        def bound(m):
+            return x ** (m + 1) / math.factorial(m + 1) * math.exp(x)
+
+        m = nhbath.dynamics._taylor_degree(x)
+        assert bound(m) <= 2.0 ** -53
+        assert m == 0 or bound(m - 1) > 2.0 ** -53
+
+    def test_norm_never_grows_on_the_defective_chain(self):
+        # gamma = 2J: the field Hamiltonian is defective and highly non-normal
+        p, lay, H = _setup(n=400, gamma=2.0, g=0.1, cell=200)
+        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 40, 401))
+        assert np.diff(traj.norm_history).max() <= 1e-14
 
     def test_bad_inputs(self):
         p, lay, H = _setup()
@@ -171,7 +199,7 @@ class TestLocalizationReport:
         p, lay, H = _setup(n=30, gamma=1.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
         traj = evolve(H, psi0, np.linspace(0, 20, 101))
-        rep = localization_report(traj, 10, 20.0)
+        rep = _localize(traj, 10, 20.0)
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
         assert rep.atom_cell == 10 and rep.t_average == 20.0
 
@@ -179,7 +207,7 @@ class TestLocalizationReport:
         p, lay, H = _setup(n=30, gamma=2.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
         traj = evolve(H, psi0, np.linspace(0, 20, 101))
-        rep = localization_report(traj, 10, 20.0)
+        rep = _localize(traj, 10, 20.0)
         assert rep.p_local > 0.9
         assert rep.p_right < 1e-10  # nothing propagates to the right either
 
@@ -188,12 +216,17 @@ class TestLocalizationReport:
         psi0 = excited_emitter_state(p, lay)
         traj = evolve(H, psi0, np.linspace(0, 5, 11))
         with pytest.raises(ValueError):
-            localization_report(traj, 3, 50.0)
+            _localize(traj, 3, 50.0)
         with pytest.raises(ValueError):
-            localization_report(traj, 99, 5.0)
+            _localize(traj, 99, 5.0)
         for cell in (2.5, True):
             with pytest.raises(ValueError, match="must be an integer"):
-                localization_report(traj, cell, 5.0)
+                _localize(traj, cell, 5.0)
+        weights = cell_weights(photon_density(traj))
+        for times, w in ((traj.times[:-1], weights), (traj.times, weights[0]),
+                         (traj.times[:1], weights[:1])):
+            with pytest.raises(ValueError, match="shape"):
+                localization_report(times, w, 3, 5.0)
 
     def test_window_shorter_than_a_step(self):
         # a window holding one sample has no time average (the trapezoid
@@ -203,13 +236,13 @@ class TestLocalizationReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="time step"):
-                localization_report(traj, 3, 0.1)
+                _localize(traj, 3, 0.1)
             with pytest.raises(ValueError, match="time step"):
-                localization_report(traj, 3, 0.5 - 1e-9)
+                _localize(traj, 3, 0.5 - 1e-9)
             for t_average in (np.nan, -1.0):
                 with pytest.raises(ValueError, match="t_average must be finite"):
-                    localization_report(traj, 3, t_average)
-            rep = localization_report(traj, 3, 0.5)  # exactly one step
+                    _localize(traj, 3, t_average)
+            rep = _localize(traj, 3, 0.5)  # exactly one step
         assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
 
@@ -223,8 +256,8 @@ class TestLocalizationReport:
             lay = EmitterLayout([cell], 0.1)
             traj = evolve(build_total_hamiltonian(p, lay),
                           excited_emitter_state(p, lay), np.linspace(0, 20, 201))
-            wrapped.append(localization_report(traj, cell, 20.0, periodic=True))
-            unwrapped.append(localization_report(traj, cell, 20.0))
+            wrapped.append(_localize(traj, cell, 20.0, periodic=True))
+            unwrapped.append(_localize(traj, cell, 20.0))
         p_loc = [rep.p_local for rep in wrapped]
         np.testing.assert_allclose(p_loc, p_loc[0], rtol=1e-12, atol=0)
         assert p_loc[0] > 0.98
@@ -232,6 +265,58 @@ class TestLocalizationReport:
         # the wrap changes cell N alone, whose cloud the chain rule splits
         assert wrapped[:-1] == unwrapped[:-1]
         assert unwrapped[-1].p_local < 0.6
+
+
+class TestStackedCellWeights:
+    GAMMAS = (1.0, 2.0, 3.0)
+
+    @staticmethod
+    def _ring(gamma, cell=10):
+        p = LatticeParams(10, 1.0, 1.0, gamma, "periodic")
+        lay = EmitterLayout([cell], 0.1)
+        return p, lay, build_total_hamiltonian(p, lay)
+
+    def test_each_system_matches_evolve(self):
+        times = np.linspace(0, 20, 201)
+        p, lay, _ = self._ring(1.0)
+        psi0 = excited_emitter_state(p, lay)
+        got = stacked_cell_weights((self._ring(g)[2] for g in self.GAMMAS),
+                                   psi0, times)
+        assert got.shape == (201, 3, 10)
+        for k, gamma in enumerate(self.GAMMAS):
+            traj = evolve(self._ring(gamma)[2], psi0, times)
+            np.testing.assert_allclose(got[:, k],
+                                       cell_weights(photon_density(traj)),
+                                       rtol=0, atol=1e-13)
+
+    def test_sweep_rows_match_per_gamma_reports(self, tmp_path):
+        # the emitter sits in cell N, whose local pair wraps to cell 1
+        raw = {"experiment": "sweep_gamma", "N": 10, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "boundary": "periodic", "g": 0.1, "cells": [10],
+               "t_max": 20.0, "n_points": 201, "t_av": 15.0,
+               "gamma_values": list(self.GAMMAS), "output_dir": str(tmp_path)}
+        run_experiment(parse_config(json.dumps(raw)))
+        rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+        times = np.linspace(0, 20, 201)
+        for row, gamma in zip(rows, self.GAMMAS):
+            p, lay, H = self._ring(gamma)
+            rep = _localize(evolve(H, excited_emitter_state(p, lay), times),
+                            10, 15.0, periodic=True)
+            assert row[0] == gamma
+            np.testing.assert_allclose(row[1:], [rep.p_local, rep.p_left,
+                                                 rep.p_right], rtol=0, atol=1e-13)
+        assert (rows[:, 3] == 0.0).all() and rows[:, 1].max() > 0.9
+
+    def test_bad_inputs(self):
+        p, lay, H = self._ring(1.0)
+        psi0 = excited_emitter_state(p, lay)
+        times = np.linspace(0, 1, 3)
+        with pytest.raises(ValueError, match="at least one"):
+            stacked_cell_weights([], psi0, times)
+        with pytest.raises(ValueError, match="dimension"):
+            stacked_cell_weights([H, H[:-2, :-2]], psi0, times)
+        with pytest.raises(ValueError, match="times must be strictly"):
+            stacked_cell_weights([H], psi0, [0.0, 1.0, 1.0])
 
 
 def _directional_populations(params, layout, times):

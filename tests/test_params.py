@@ -82,9 +82,12 @@ class TestEmitterLayout:
             EmitterLayout([1], g)
 
     def test_range_check(self):
-        lay = EmitterLayout([9], 0.1)
-        with pytest.raises(ValueError, match="out of range"):
-            lay.validate_against(LatticeParams(5, 1.0, 1.0, 1.0))
+        p = LatticeParams(5, 1.0, 1.0, 1.0)
+        EmitterLayout([1, 5], 0.1).validate_against(p)
+        for c in (9, 6, 0, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^cell index {c} out of range 1\.\.5$"):
+                EmitterLayout([1, c], 0.1).validate_against(p)
         for cells in ([2.9], [True, 2], ["3"]):
             with pytest.raises(ValueError, match="must be integers"):
                 EmitterLayout(cells, 0.1)

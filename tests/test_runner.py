@@ -155,9 +155,7 @@ def _traced_names():
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = [(m, a) for m, a, _ in tracing.SPANS + tracing.COUNTS]
-    # the tracer also swaps the sweep's pool class
-    return names + [("nhbath.runner", "ThreadPoolExecutor")]
+    return [(m, a) for m, a, _ in tracing.SPANS + tracing.COUNTS]
 
 
 @pytest.mark.parametrize("module, name", _traced_names())
