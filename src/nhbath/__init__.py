@@ -8,8 +8,8 @@ numeric effective emitter Hamiltonians, and metastable dressed states.
 
 __version__ = "0.1.0"
 
-from .params import (LatticeParams, EmitterLayout, SingleExcitationState,
-                     excited_emitter_state, weak_coupling_warnings)
+from .params import (LatticeParams, EmitterLayout, excited_emitter_state,
+                     weak_coupling_warnings)
 from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
                       intracell_unitary)
 from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
@@ -27,8 +27,8 @@ from .runner import run_experiment
 
 __all__ = [
     "__version__",
-    "LatticeParams", "EmitterLayout", "SingleExcitationState",
-    "excited_emitter_state", "weak_coupling_warnings",
+    "LatticeParams", "EmitterLayout", "excited_emitter_state",
+    "weak_coupling_warnings",
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
     "band_centroid", "point_gap_winding",

@@ -91,11 +91,12 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     return DressedState(amps, -1j * g ** 2 / (4 * params.t1), N, "edge", g)
 
 
-def verify_eigenstate(hamiltonian: np.ndarray, dressed: DressedState) -> float:
+def verify_eigenstate(hamiltonian, dressed: DressedState) -> float:
     """Residual ||H v - E v|| / ||v|| of a dressed state against the full
-    single-emitter Hamiltonian in the original picture, emitter first; the
-    cloud is rotated back by `rotate_cells`, which is unitary, so the
-    residual is that of the mapped picture.
+    single-emitter Hamiltonian (`build_total_hamiltonian`, sparse or dense)
+    in the original picture, emitter first; the cloud is rotated back by
+    `rotate_cells`, which is unitary, so the residual is that of the mapped
+    picture.
 
     Scales as g^3 for a correct dressed state, g^1 for a wrong ansatz.
     """

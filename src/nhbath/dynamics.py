@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.sparse import block_diag, csr_array
 
-from .params import SingleExcitationState, require_index, require_positive
+from .params import require_count, require_index, require_positive
 
 
 @dataclass
@@ -70,10 +70,11 @@ def _taylor_steps(H: csr_array, psi: np.ndarray, times: np.ndarray):
         yield psi
 
 
-def _checked(hamiltonian, initial: SingleExcitationState, times):
+def _checked(hamiltonian, initial, n_emitters, times):
     """(CSR H, initial vector, float times) after the checks every
     propagation makes: finite times starting at 0 and increasing, finite
-    H and state of matching dimensions."""
+    H and state of matching dimensions, and an even number of photon
+    amplitudes after the `n_emitters` emitter ones."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"sample times must be finite, got {times}")
@@ -86,48 +87,52 @@ def _checked(hamiltonian, initial: SingleExcitationState, times):
     H = csr_array(hamiltonian, dtype=complex)
     if not np.all(np.isfinite(H.data)):
         raise ValueError("hamiltonian contains non-finite entries")
-    psi0 = initial.vector()
-    if not np.all(np.isfinite(psi0)):
-        raise ValueError("initial state contains non-finite amplitudes")
+    psi0 = np.asarray(initial, dtype=complex)
+    if psi0.ndim != 1 or not np.all(np.isfinite(psi0)):
+        raise ValueError("initial state must be a vector of finite amplitudes")
+    require_count("n_emitters", n_emitters, 0)
+    if n_emitters > psi0.size or (psi0.size - n_emitters) % 2:
+        raise ValueError(f"{psi0.size} amplitudes are not {n_emitters} "
+                         "emitters followed by two per cell")
     if H.shape != (psi0.size, psi0.size):
         raise ValueError("state dimension does not match the hamiltonian")
     return H, psi0, times
 
 
-def evolve(hamiltonian, initial: SingleExcitationState,
+def evolve(hamiltonian, initial, n_emitters: int,
            times: Sequence[float]) -> Trajectory:
-    """Propagate `initial` under `hamiltonian` (dense or sparse) and sample
-    at `times`.
+    """Propagate the amplitude vector `initial` (its first `n_emitters`
+    entries the emitters', the rest the photon modes') under `hamiltonian`
+    (CSR, or anything `csr_array` takes) and sample at `times`.
 
     Times must be finite, start at 0 and increase; H and the state must be
     finite.  Every interval, uniform grid or not, is one bounded Taylor
-    step on a CSR copy of H (see `_taylor_steps`).
+    step on H in CSR form (see `_taylor_steps`).
     """
-    H, psi0, times = _checked(hamiltonian, initial, times)
+    H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
     amps = np.empty((times.size, psi0.size), dtype=complex)
     for k, psi in enumerate(_taylor_steps(H, psi0, times)):
         amps[k] = psi
-    return Trajectory(times.copy(), amps, initial.n_emitters)
+    return Trajectory(times.copy(), amps, int(n_emitters))
 
 
-def stacked_cell_weights(hamiltonians: Iterable, initial: SingleExcitationState,
+def stacked_cell_weights(hamiltonians: Iterable, initial, n_emitters: int,
                          times: Sequence[float]) -> np.ndarray:
     """Photon weight per cell of every system, shape (n_steps, n_systems, N).
 
-    Propagates `initial` under each Hamiltonian (all of one dimension) as one
-    block-diagonal CSR system with the kernel of `evolve`, under the same
-    checks, and keeps only the cell weights of each step, not the
-    amplitudes.  Each Hamiltonian is converted to CSR as it is read, so an
-    iterator of dense matrices never holds more than one of them.
+    Propagates `initial` (as in `evolve`) under each Hamiltonian (all of one
+    dimension) as one block-diagonal CSR system with the kernel of `evolve`,
+    under the same checks, and keeps only the cell weights of each step,
+    not the amplitudes.
     """
     blocks = []
     for H in hamiltonians:
-        H, psi0, times = _checked(H, initial, times)
+        H, psi0, times = _checked(H, initial, n_emitters, times)
         blocks.append(H)
     if not blocks:
         raise ValueError("need at least one hamiltonian")
     stack = block_diag(blocks, format="csr")
-    n_sys, ne = len(blocks), initial.n_emitters
+    n_sys, ne = len(blocks), n_emitters
     weights = np.empty((times.size, n_sys, (psi0.size - ne) // 2))
     for k, psi in enumerate(_taylor_steps(stack, np.tile(psi0, n_sys), times)):
         weights[k] = cell_weights(np.abs(psi.reshape(n_sys, -1)[:, ne:]) ** 2)

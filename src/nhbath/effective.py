@@ -107,7 +107,7 @@ def heff_numeric(params: LatticeParams,
     """
     layout.validate_against(params)
     H = build_bare_hamiltonian(params)
-    A = 0.0 - H  # not -H, whose -0.0 zeros change the solution's last bits
+    A = 0.0 - H.toarray()  # not -H, whose -0.0 zeros change the last bits
     rows = np.array([params.b_index(c) for c in layout.cells])
     rhs = np.zeros((H.shape[0], layout.n_emitters), dtype=complex)
     rhs[rows, np.arange(layout.n_emitters)] = 1.0

@@ -1,4 +1,4 @@
-"""Model parameters, emitter layout and single-excitation state containers."""
+"""Model parameters, emitter layout and the single-excitation initial state."""
 from __future__ import annotations
 
 import math
@@ -153,37 +153,13 @@ def weak_coupling_warnings(params: LatticeParams, layout: EmitterLayout) -> list
     return msgs
 
 
-@dataclass
-class SingleExcitationState:
-    """Amplitudes of a single excitation shared between emitters and photons,
-    in the original picture, the one every Hamiltonian is built in.
-
-    Basis order: emitters first (layout order), then cells 1..N with the two
-    cavities (a, b) per cell.  `lattice.rotate_cells` turns `photon_amps`
-    into the mapped (alpha, beta) amplitudes.
-    """
-
-    emitter_amps: np.ndarray
-    photon_amps: np.ndarray
-
-    def __post_init__(self):
-        self.emitter_amps = np.asarray(self.emitter_amps, dtype=complex)
-        self.photon_amps = np.asarray(self.photon_amps, dtype=complex)
-        if self.photon_amps.size % 2 != 0:
-            raise ValueError("photon amplitude vector must have even length")
-
-    @property
-    def n_emitters(self) -> int:
-        return self.emitter_amps.size
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.emitter_amps, self.photon_amps])
-
-
 def excited_emitter_state(params: LatticeParams, layout: EmitterLayout,
-                          which: int = 1) -> SingleExcitationState:
-    """Field vacuum with emitter number `which` (1-based) excited."""
+                          which: int = 1) -> np.ndarray:
+    """Field vacuum with emitter number `which` (1-based) excited: the
+    complex amplitude vector of the single excitation in the original
+    picture, emitters first (layout order), then cells 1..N with the two
+    cavities (a, b) per cell."""
     require_index("emitter index", which, layout.n_emitters)
-    e = np.zeros(layout.n_emitters, dtype=complex)
-    e[which - 1] = 1.0
-    return SingleExcitationState(e, np.zeros(params.n_modes, dtype=complex))
+    psi = np.zeros(layout.n_emitters + params.n_modes, dtype=complex)
+    psi[which - 1] = 1.0
+    return psi

@@ -66,7 +66,7 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
     lattice, layout = cfg.lattice, cfg.emitters
     H = build_total_hamiltonian(lattice, layout)
     psi0 = excited_emitter_state(lattice, layout, which=cfg.excited_emitter)
-    traj = evolve(H, psi0, _time_grid(cfg))
+    traj = evolve(H, psi0, layout.n_emitters, _time_grid(cfg))
     pops = emitter_populations(traj)
     dens = photon_density(traj)
 
@@ -140,10 +140,11 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
 def _sweep_files(cfg: ExperimentConfig) -> dict:
     times = _time_grid(cfg)
     lattice, layout = cfg.lattice, cfg.emitters
-    hamiltonians = (build_total_hamiltonian(replace(lattice, gamma=gamma), layout)
-                    for gamma in cfg.gamma_values)
+    hamiltonians = [build_total_hamiltonian(replace(lattice, gamma=gamma), layout)
+                    for gamma in cfg.gamma_values]
     weights = stacked_cell_weights(hamiltonians,
-                                   excited_emitter_state(lattice, layout), times)
+                                   excited_emitter_state(lattice, layout),
+                                   layout.n_emitters, times)
     rows = []
     for gamma, w in zip(cfg.gamma_values, weights.transpose(1, 0, 2)):
         rep = localization_report(times, w, cfg.cells[0], cfg.t_av,

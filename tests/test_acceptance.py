@@ -27,7 +27,7 @@ def test_criterion_01_single_emitter_decay_rate():
     lay = EmitterLayout([15], 0.1)
     H = build_total_hamiltonian(p, lay)
     times = np.linspace(0.0, 1.5 / gam_eff, 301)
-    traj = evolve(H, excited_emitter_state(p, lay), times)
+    traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters, times)
     pe = emitter_populations(traj)[:, 0]
     pop_rate = fit_decay_rate(times, pe, 0.2 / gam_eff, 1.5 / gam_eff)
     # |c_e|^2 ~ exp(-2 Gamma t) for an amplitude ~ exp(-Gamma t)
@@ -95,8 +95,10 @@ def test_criterion_05_non_reciprocal_state_transfer():
     lay = EmitterLayout([10, 11], 0.1)
     H = build_total_hamiltonian(p, lay)
     times = np.linspace(0.0, 1.5 / gam_eff, 401)
-    fwd = emitter_populations(evolve(H, excited_emitter_state(p, lay, 1), times))
-    rev = emitter_populations(evolve(H, excited_emitter_state(p, lay, 2), times))
+    fwd = emitter_populations(evolve(H, excited_emitter_state(p, lay, 1),
+                                     lay.n_emitters, times))
+    rev = emitter_populations(evolve(H, excited_emitter_state(p, lay, 2),
+                                     lay.n_emitters, times))
     peak = fwd[:, 1].max()
     leak = rev[:, 0].max()
     ok = peak > 0.05 and leak < 1e-6
@@ -113,7 +115,7 @@ def test_criterion_06_localization_cusp():
     for gamma in gammas:
         p = LatticeParams(100, 1.0, 1.0, float(gamma), "open")
         H = build_total_hamiltonian(p, lay)
-        traj = evolve(H, excited_emitter_state(p, lay), times)
+        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters, times)
         rep = localization_report(traj.times, cell_weights(photon_density(traj)),
                                   15, 20.0)
         rows.append((rep.p_local, rep.p_right))
@@ -197,11 +199,9 @@ def test_criterion_10_passivity_property_suite():
         H = build_total_hamiltonian(p, lay)
         dim = H.shape[0]
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi0 = excited_emitter_state(p, lay)
-        psi0.emitter_amps = (v / np.linalg.norm(v))[:lay.n_emitters]
-        psi0.photon_amps = (v / np.linalg.norm(v))[lay.n_emitters:]
+        psi0 = v / np.linalg.norm(v)
         times = np.linspace(0.0, float(rng.uniform(1.0, 10.0)), 21)
-        traj = evolve(H, psi0, times)
+        traj = evolve(H, psi0, lay.n_emitters, times)
         worst = max(worst, float(np.max(np.diff(traj.norm_history))))
     _report("criterion 10 (passivity)", worst <= 1e-10,
             f"1000 randomized evolutions; largest per-step norm increase "

@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 import nhbath.dynamics
-from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
-                    build_total_hamiltonian, cell_weights, emitter_populations,
+from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
+                    cell_weights, emitter_populations,
                     evolve, excited_emitter_state, fit_decay_rate,
                     heff_closed_form, localization_report, parse_config,
                     photon_density, run_experiment, stacked_cell_weights)
@@ -38,21 +38,21 @@ class TestEvolve:
     def test_initial_state_kept(self):
         _, lay, H = _setup()
         psi0 = excited_emitter_state(LatticeParams(8, 1.0, 1.0, 1.0, "open"), lay)
-        traj = evolve(H, psi0, np.linspace(0, 5, 11))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 11))
         assert traj.n_steps == 11
-        np.testing.assert_array_equal(traj.amplitudes[0], psi0.vector())
+        np.testing.assert_array_equal(traj.amplitudes[0], psi0)
         assert traj.norm_history[0] == pytest.approx(1.0)
 
     def test_lossless_norm_conserved(self):
         p, lay, H = _setup(gamma=0.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 20, 101))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
         np.testing.assert_allclose(traj.norm_history, 1.0, atol=1e-10)
 
     def test_norm_monotone_with_loss(self):
         p, lay, H = _setup(gamma=1.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 20, 101))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
         assert np.all(np.diff(traj.norm_history) <= 1e-12)
 
     def test_uniform_and_irregular_grids_agree(self):
@@ -61,8 +61,8 @@ class TestEvolve:
         uniform = np.linspace(0, 3, 7)
         jitter = uniform.copy()
         jitter[3] += 1e-4  # two intervals of their own length
-        tu = evolve(H, psi0, uniform)
-        tj = evolve(H, psi0, jitter)
+        tu = evolve(H, psi0, lay.n_emitters, uniform)
+        tj = evolve(H, psi0, lay.n_emitters, jitter)
         for k in (1, 2, 5, 6):
             np.testing.assert_allclose(tu.amplitudes[k],
                                        tj.amplitudes[k], atol=1e-9)
@@ -74,9 +74,9 @@ class TestEvolve:
         p, lay, H = _setup(n=n, gamma=gamma, g=0.3, boundary=boundary, cell=n)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 10, 41)
-        traj = evolve(H, psi0, times)
+        traj = evolve(H, psi0, lay.n_emitters, times)
         np.testing.assert_allclose(traj.amplitudes,
-                                   expm_stepped(H, psi0.vector(), times),
+                                   expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("boundary, gamma", [("periodic", 2.0),
@@ -87,9 +87,9 @@ class TestEvolve:
         psi0 = excited_emitter_state(p, lay)
         dts = np.random.default_rng(5).uniform(1e-3, 1.5, 30)
         times = np.r_[0.0, np.cumsum(dts)]
-        traj = evolve(H, psi0, times)
+        traj = evolve(H, psi0, lay.n_emitters, times)
         np.testing.assert_allclose(traj.amplitudes,
-                                   expm_stepped(H, psi0.vector(), times),
+                                   expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -106,10 +106,10 @@ class TestEvolve:
             return degree(x)
 
         monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
-        traj = evolve(H, psi0, times)
+        traj = evolve(H, psi0, lay.n_emitters, times)
         assert len(xs) == 5 and all(0.95 < x <= 1.0 for x in xs)
         np.testing.assert_allclose(traj.amplitudes,
-                                   expm_stepped(H, psi0.vector(), times),
+                                   expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
     def test_one_full_substep_is_exact_to_rounding(self):
@@ -117,10 +117,10 @@ class TestEvolve:
         # truncation (~1/19!) is far below rounding; two degrees fewer
         # would leave ~1/17! = 2.8e-15
         lam = np.array([1.0, -1.0, -0.5j])
-        psi0 = SingleExcitationState([0.6], [0.0, 0.8j])
-        traj = evolve(np.diag(lam), psi0, [0.0, 1.0])
+        psi0 = np.array([0.6, 0.0, 0.8j])
+        traj = evolve(np.diag(lam), psi0, 1, [0.0, 1.0])
         np.testing.assert_allclose(traj.amplitudes[1],
-                                   np.exp(-1j * lam) * psi0.vector(),
+                                   np.exp(-1j * lam) * psi0,
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0])
@@ -135,37 +135,45 @@ class TestEvolve:
     def test_norm_never_grows_on_the_defective_chain(self):
         # gamma = 2J: the field Hamiltonian is defective and highly non-normal
         p, lay, H = _setup(n=400, gamma=2.0, g=0.1, cell=200)
-        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 40, 401))
+        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+                      np.linspace(0, 40, 401))
         assert np.diff(traj.norm_history).max() <= 1e-14
 
     def test_bad_inputs(self):
         p, lay, H = _setup()
         psi0 = excited_emitter_state(p, lay)
         with pytest.raises(ValueError):
-            evolve(H, psi0, [0.0])
+            evolve(H, psi0, lay.n_emitters, [0.0])
         with pytest.raises(ValueError):
-            evolve(H, psi0, [1.0, 2.0])
+            evolve(H, psi0, lay.n_emitters, [1.0, 2.0])
         with pytest.raises(ValueError):
-            evolve(H, psi0, [0.0, 2.0, 1.0])
+            evolve(H, psi0, lay.n_emitters, [0.0, 2.0, 1.0])
         for times in ([0.0, np.nan], [0.0, np.inf], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="times must be finite"):
-                evolve(H, psi0, times)
-        bad = H.copy()
+                evolve(H, psi0, lay.n_emitters, times)
+        bad = H.toarray()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            evolve(bad, psi0, [0.0, 1.0])
+            evolve(bad, psi0, lay.n_emitters, [0.0, 1.0])
         with pytest.raises(ValueError):
-            evolve(H[:-2, :-2], psi0, [0.0, 1.0])
+            evolve(H[:-2, :-2], psi0, lay.n_emitters, [0.0, 1.0])
         with pytest.raises(ValueError, match="initial state"):
-            evolve(H, SingleExcitationState([np.nan], psi0.photon_amps),
-                   [0.0, 1.0])
+            evolve(H, np.r_[np.nan, psi0[1:]], lay.n_emitters, [0.0, 1.0])
+        with pytest.raises(ValueError, match="initial state"):
+            evolve(H, psi0[None], lay.n_emitters, [0.0, 1.0])
+        for n_emitters in (0, 2, psi0.size + 1):  # odd photon counts
+            with pytest.raises(ValueError, match="two per cell"):
+                evolve(H, psi0, n_emitters, [0.0, 1.0])
+        for n_emitters in (-1, 1.0, True):
+            with pytest.raises(ValueError, match="n_emitters must be"):
+                evolve(H, psi0, n_emitters, [0.0, 1.0])
 
 
 class TestObservables:
     def test_population_conservation_split(self):
         p, lay, H = _setup(gamma=0.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 10, 41))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 10, 41))
         pe = emitter_populations(traj).sum(axis=1)
         pf = photon_density(traj).sum(axis=1)
         np.testing.assert_allclose(pe + pf, 1.0, atol=1e-10)
@@ -173,7 +181,7 @@ class TestObservables:
     def test_density_is_picture_covariant_not_invariant(self):
         p, lay, H = _setup(gamma=2.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 5, 21))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 21))
         orig = photon_density(traj)
         mapped = _mapped_density(traj)
         # total photonic weight agrees (the rotation is unitary) ...
@@ -186,7 +194,8 @@ class TestObservables:
         p = LatticeParams(6, 1.0, 1.0, 1.4, boundary)
         lay = EmitterLayout([2, 5], 0.2)
         H = build_total_hamiltonian(p, lay)
-        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 4, 9))
+        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+                      np.linspace(0, 4, 9))
         U = picture_unitary(p.n_cells, lay.n_emitters)
         want = np.array([np.abs(U @ v)[lay.n_emitters:] ** 2
                          for v in traj.amplitudes])
@@ -198,7 +207,7 @@ class TestLocalizationReport:
     def test_probabilities_normalized(self):
         p, lay, H = _setup(n=30, gamma=1.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 20, 101))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
         rep = _localize(traj, 10, 20.0)
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
         assert rep.atom_cell == 10 and rep.t_average == 20.0
@@ -206,7 +215,7 @@ class TestLocalizationReport:
     def test_directional_regime_emits_nothing_left(self):
         p, lay, H = _setup(n=30, gamma=2.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 20, 101))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
         rep = _localize(traj, 10, 20.0)
         assert rep.p_local > 0.9
         assert rep.p_right < 1e-10  # nothing propagates to the right either
@@ -214,7 +223,7 @@ class TestLocalizationReport:
     def test_window_validation(self):
         p, lay, H = _setup()
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, np.linspace(0, 5, 11))
+        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 11))
         with pytest.raises(ValueError):
             _localize(traj, 3, 50.0)
         with pytest.raises(ValueError):
@@ -232,7 +241,8 @@ class TestLocalizationReport:
         # a window holding one sample has no time average (the trapezoid
         # would divide 0 by 0); the rule is the config's t_av >= t_max/(n-1)
         p, lay, H = _setup(n=6)
-        traj = evolve(H, excited_emitter_state(p, lay), np.linspace(0, 2, 5))
+        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+                      np.linspace(0, 2, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="time step"):
@@ -255,7 +265,8 @@ class TestLocalizationReport:
         for cell in range(1, 11):
             lay = EmitterLayout([cell], 0.1)
             traj = evolve(build_total_hamiltonian(p, lay),
-                          excited_emitter_state(p, lay), np.linspace(0, 20, 201))
+                          excited_emitter_state(p, lay), lay.n_emitters,
+                          np.linspace(0, 20, 201))
             wrapped.append(_localize(traj, cell, 20.0, periodic=True))
             unwrapped.append(_localize(traj, cell, 20.0))
         p_loc = [rep.p_local for rep in wrapped]
@@ -281,10 +292,10 @@ class TestStackedCellWeights:
         p, lay, _ = self._ring(1.0)
         psi0 = excited_emitter_state(p, lay)
         got = stacked_cell_weights((self._ring(g)[2] for g in self.GAMMAS),
-                                   psi0, times)
+                                   psi0, lay.n_emitters, times)
         assert got.shape == (201, 3, 10)
         for k, gamma in enumerate(self.GAMMAS):
-            traj = evolve(self._ring(gamma)[2], psi0, times)
+            traj = evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times)
             np.testing.assert_allclose(got[:, k],
                                        cell_weights(photon_density(traj)),
                                        rtol=0, atol=1e-13)
@@ -300,7 +311,8 @@ class TestStackedCellWeights:
         times = np.linspace(0, 20, 201)
         for row, gamma in zip(rows, self.GAMMAS):
             p, lay, H = self._ring(gamma)
-            rep = _localize(evolve(H, excited_emitter_state(p, lay), times),
+            rep = _localize(evolve(H, excited_emitter_state(p, lay),
+                                   lay.n_emitters, times),
                             10, 15.0, periodic=True)
             assert row[0] == gamma
             np.testing.assert_allclose(row[1:], [rep.p_local, rep.p_left,
@@ -312,11 +324,11 @@ class TestStackedCellWeights:
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 1, 3)
         with pytest.raises(ValueError, match="at least one"):
-            stacked_cell_weights([], psi0, times)
+            stacked_cell_weights([], psi0, lay.n_emitters, times)
         with pytest.raises(ValueError, match="dimension"):
-            stacked_cell_weights([H, H[:-2, :-2]], psi0, times)
+            stacked_cell_weights([H, H[:-2, :-2]], psi0, lay.n_emitters, times)
         with pytest.raises(ValueError, match="times must be strictly"):
-            stacked_cell_weights([H], psi0, [0.0, 1.0, 1.0])
+            stacked_cell_weights([H], psi0, lay.n_emitters, [0.0, 1.0, 1.0])
 
 
 def _directional_populations(params, layout, times):
@@ -353,7 +365,7 @@ class TestMarkovLimit:
         lay = EmitterLayout([10, 11, 12, 13], g)
         times = np.linspace(0, 6 / (g ** 2 / 4), 301)
         traj = evolve(build_total_hamiltonian(p, lay),
-                      excited_emitter_state(p, lay), times)
+                      excited_emitter_state(p, lay), lay.n_emitters, times)
         return np.abs(emitter_populations(traj) - oracle(p, lay, times)).max()
 
     @pytest.mark.parametrize("gamma,oracle,bound", [

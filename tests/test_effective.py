@@ -11,7 +11,7 @@ from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
 
 def dense_resolvent_bb(params, m, n, energy=0.0):
     """Brute-force oracle: b-row of (E - H)^(-1) columns from dense solves."""
-    H = build_bare_hamiltonian(params)
+    H = build_bare_hamiltonian(params).toarray()
     A = energy * np.eye(H.shape[0]) - H
     rhs = np.zeros(H.shape[0], dtype=complex)
     rhs[params.b_index(n)] = 1.0
@@ -28,7 +28,7 @@ def mp_resolvent_bb(params, digits=80, z="1e-40"):
     """Oracle in extended precision: bb entries (rows = target cells) of
     (z - H)^(-1) at a tiny real z, which also reaches the limit on the
     singular even uniform rings."""
-    H = build_bare_hamiltonian(params)
+    H = build_bare_hamiltonian(params).toarray()
     b = [params.b_index(c) for c in range(1, params.n_cells + 1)]
     with mp.workdps(digits):
         A = mp.mpf(z) * mp.eye(H.shape[0]) - mp.matrix(H.tolist())
@@ -232,7 +232,7 @@ class TestHeffNumeric:
         # residual check sends only that one
         p = LatticeParams(9, 1.3, 0.8, 1.1, "open")
         lay = EmitterLayout([7, 2, 5], 0.1)
-        A = -build_bare_hamiltonian(p)
+        A = -build_bare_hamiltonian(p).toarray()
         rows = [p.b_index(c) for c in lay.cells]
         want = np.empty((3, 3), dtype=complex)
         for j, r in enumerate(rows):

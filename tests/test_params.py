@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nhbath import (EmitterLayout, LatticeParams, SingleExcitationState,
-                    excited_emitter_state, weak_coupling_warnings)
+from nhbath import (EmitterLayout, LatticeParams, excited_emitter_state,
+                    weak_coupling_warnings)
 
 
 class TestLatticeParams:
@@ -105,23 +105,18 @@ class TestWeakCouplingWarnings:
         assert any("sqrt(N)" in m for m in msgs)
 
 
-class TestSingleExcitationState:
-    def test_vector_round_trip(self):
-        s = SingleExcitationState(np.array([0.5j]), np.arange(6) * 1.0)
-        v = s.vector()
-        t = SingleExcitationState(v[:1], v[1:])
-        assert np.array_equal(s.vector(), t.vector())
-        assert t.n_emitters == 1
-
-    def test_excited_emitter_state(self):
+class TestExcitedEmitterState:
+    def test_one_excited_emitter_and_field_vacuum(self):
         p = LatticeParams(4, 1.0, 1.0, 1.0)
         lay = EmitterLayout([2, 3], 0.1)
-        s = excited_emitter_state(p, lay, which=2)
-        v = s.vector()
+        v = excited_emitter_state(p, lay, which=2)
+        assert v.dtype == complex and v.shape == (2 + p.n_modes,)
         assert v[1] == 1.0 and np.count_nonzero(v) == 1
+        np.testing.assert_array_equal(excited_emitter_state(p, lay),
+                                      np.r_[1.0, np.zeros(9)])
         with pytest.raises(ValueError):
             excited_emitter_state(p, lay, which=3)
-        assert excited_emitter_state(p, lay, which=np.int64(2)).vector()[1] == 1.0
+        assert excited_emitter_state(p, lay, which=np.int64(2))[1] == 1.0
         for which in (1.5, True):
             with pytest.raises(ValueError, match="must be an integer"):
                 excited_emitter_state(p, lay, which=which)

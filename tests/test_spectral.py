@@ -55,7 +55,7 @@ class TestBlochSpectrum:
     ])
     def test_matches_dense_multiset(self, params):
         evb = _sorted_multiset(bloch_spectrum(params).eigenvalues)
-        evd = _sorted_multiset(np.linalg.eigvals(build_bare_hamiltonian(params)))
+        evd = _sorted_multiset(np.linalg.eigvals(build_bare_hamiltonian(params).toarray()))
         np.testing.assert_allclose(evb, evd, atol=1e-12)
 
     def test_total_loss_is_conserved(self):
