@@ -14,12 +14,11 @@ from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
                       intracell_unitary)
 from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
                        obc_spectrum, band_centroid, point_gap_winding)
-from .dynamics import (Trajectory, LocalizationReport, evolve,
-                       stacked_cell_weights, emitter_populations,
-                       photon_density, cell_weights, localization_report,
-                       fit_decay_rate)
-from .effective import (EffectiveCouplingMatrix, greens_obc, heff_numeric,
-                        heff_closed_form, interaction_range)
+from .dynamics import (LocalizationReport, evolve, stacked_cell_weights,
+                       emitter_populations, photon_density, cell_weights,
+                       localization_report, fit_decay_rate)
+from .effective import (greens_obc, heff_numeric, heff_closed_form,
+                        interaction_range)
 from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
                       verify_eigenstate, coupling_from_dressed)
 from .config import ExperimentConfig, ConfigError, parse_config, serialize_config
@@ -32,11 +31,10 @@ __all__ = [
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
     "band_centroid", "point_gap_winding",
-    "Trajectory", "LocalizationReport", "evolve", "stacked_cell_weights",
+    "LocalizationReport", "evolve", "stacked_cell_weights",
     "emitter_populations", "photon_density", "cell_weights",
     "localization_report", "fit_decay_rate",
-    "EffectiveCouplingMatrix", "greens_obc", "heff_numeric",
-    "heff_closed_form", "interaction_range",
+    "greens_obc", "heff_numeric", "heff_closed_form", "interaction_range",
     "DressedState", "bulk_dressed_state", "edge_dressed_state",
     "verify_eigenstate", "coupling_from_dressed",
     "ExperimentConfig", "ConfigError", "parse_config", "serialize_config",

@@ -11,29 +11,6 @@ from scipy.sparse import block_diag, csr_array
 from .params import require_count, require_index, require_positive
 
 
-@dataclass
-class Trajectory:
-    """Sampled solution of i d(psi)/dt = H psi for a non-Hermitian H.
-
-    `amplitudes[k]` is the state vector at `times[k]`, shape
-    (n_steps, n_emitters + 2N) in the original picture, emitters first;
-    `norm_history` tracks the decaying norm (the lost weight is the
-    emitted/absorbed population).
-    """
-
-    times: np.ndarray
-    amplitudes: np.ndarray
-    n_emitters: int
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size
-
-    @property
-    def norm_history(self) -> np.ndarray:
-        return np.linalg.norm(self.amplitudes, axis=1)
-
-
 def _taylor_degree(x: float) -> int:
     """Least m with x^(m+1)/(m+1)! * e^x <= 2^-53: then the degree-m Taylor
     polynomial T_m(B) of exp(B) obeys ||exp(B) - T_m(B)||_1 <= 2^-53 for
@@ -100,10 +77,11 @@ def _checked(hamiltonian, initial, n_emitters, times):
 
 
 def evolve(hamiltonian, initial, n_emitters: int,
-           times: Sequence[float]) -> Trajectory:
+           times: Sequence[float]) -> np.ndarray:
     """Propagate the amplitude vector `initial` (its first `n_emitters`
     entries the emitters', the rest the photon modes') under `hamiltonian`
-    (CSR, or anything `csr_array` takes) and sample at `times`.
+    (CSR, or anything `csr_array` takes) and sample at `times`: row k of the
+    returned (n_steps, n_emitters + 2N) array is the state at `times[k]`.
 
     Times must be finite, start at 0 and increase; H and the state must be
     finite.  Every interval, uniform grid or not, is one bounded Taylor
@@ -113,7 +91,7 @@ def evolve(hamiltonian, initial, n_emitters: int,
     amps = np.empty((times.size, psi0.size), dtype=complex)
     for k, psi in enumerate(_taylor_steps(H, psi0, times)):
         amps[k] = psi
-    return Trajectory(times.copy(), amps, int(n_emitters))
+    return amps
 
 
 def stacked_cell_weights(hamiltonians: Iterable, initial, n_emitters: int,
@@ -139,15 +117,17 @@ def stacked_cell_weights(hamiltonians: Iterable, initial, n_emitters: int,
     return weights
 
 
-def emitter_populations(traj: Trajectory) -> np.ndarray:
-    """|amplitude|^2 of every emitter at every sample, shape (n_steps, n_e)."""
-    return np.abs(traj.amplitudes[:, :traj.n_emitters]) ** 2
+def emitter_populations(amplitudes: np.ndarray, n_emitters: int) -> np.ndarray:
+    """|amplitude|^2 of every emitter at every sample of `evolve`'s array,
+    shape (n_steps, n_emitters)."""
+    return np.abs(amplitudes[:, :n_emitters]) ** 2
 
 
-def photon_density(traj: Trajectory) -> np.ndarray:
-    """Original-picture photon mode populations, shape (n_steps, 2N); the
-    mapped ones are np.abs(rotate_cells(photon amplitudes)) ** 2."""
-    return np.abs(traj.amplitudes[:, traj.n_emitters:]) ** 2
+def photon_density(amplitudes: np.ndarray, n_emitters: int) -> np.ndarray:
+    """Original-picture photon mode populations of `evolve`'s array, shape
+    (n_steps, 2N); the mapped ones are
+    np.abs(rotate_cells(amplitudes[:, n_emitters:])) ** 2."""
+    return np.abs(amplitudes[:, n_emitters:]) ** 2
 
 
 @dataclass(frozen=True)
@@ -164,8 +144,6 @@ class LocalizationReport:
     p_local: float
     p_left: float
     p_right: float
-    atom_cell: int
-    t_average: float
 
 
 def cell_weights(density: np.ndarray) -> np.ndarray:
@@ -208,7 +186,7 @@ def localization_report(times: Sequence[float], weights: np.ndarray,
     if total <= 0:
         raise ValueError("no photonic weight accumulated; nothing to localize")
     return LocalizationReport(float(local / total), left / total,
-                              right / total, atom_cell, float(t_average))
+                              right / total)
 
 
 def fit_decay_rate(times: Sequence[float], population: Sequence[float],

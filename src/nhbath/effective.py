@@ -2,28 +2,12 @@
 resolvent that generates them."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .lattice import build_bare_hamiltonian
 from .params import OPEN, EmitterLayout, LatticeParams, finite, require_positive
-
-
-@dataclass
-class EffectiveCouplingMatrix:
-    """Second-order emitter-emitter coupling matrix.
-
-    entries[i, j] is the coupling driving emitter i from emitter j (row =
-    target, column = source), in the order of `cells`.  method records how it
-    was computed: "numeric", "closed_form_finite" or "closed_form_asymptotic".
-    """
-
-    entries: np.ndarray
-    method: str
-    boundary: str
-    cells: tuple
-    g: float
 
 
 def interaction_range(gamma: float, j: float) -> float:
@@ -96,11 +80,11 @@ def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
     return complex(_bb_resolvent(chain, [m], [n], finite=True)[0, 0])
 
 
-def heff_numeric(params: LatticeParams,
-                 layout: EmitterLayout) -> EffectiveCouplingMatrix:
-    """Effective coupling matrix from the dense lattice resolvent.
-
-    entries[i, j] = g^2 * <b_{cell_i}| (0 - H_field)^(-1) |b_{cell_j}>.
+def heff_numeric(params: LatticeParams, layout: EmitterLayout) -> np.ndarray:
+    """Effective coupling matrix from the dense lattice resolvent, shape
+    (n_emitters, n_emitters) in layout order: entry [i, j] is the coupling
+    driving emitter i from emitter j (row = target, column = source),
+    g^2 * <b_{cell_i}| (0 - H_field)^(-1) |b_{cell_j}>.
     All emitter columns are solved with one factorization.  Columns whose
     relative residual exceeds 1e-8 (all of them if the solve raises) are
     re-solved as the minimum-norm least-squares resolvent.
@@ -108,7 +92,7 @@ def heff_numeric(params: LatticeParams,
     layout.validate_against(params)
     H = build_bare_hamiltonian(params)
     A = 0.0 - H.toarray()  # not -H, whose -0.0 zeros change the last bits
-    rows = np.array([params.b_index(c) for c in layout.cells])
+    rows = params.b_index(np.array(layout.cells))
     rhs = np.zeros((H.shape[0], layout.n_emitters), dtype=complex)
     rhs[rows, np.arange(layout.n_emitters)] = 1.0
     try:
@@ -120,16 +104,15 @@ def heff_numeric(params: LatticeParams,
         bad = np.ones(layout.n_emitters, dtype=bool)
     if bad.any():
         x[:, bad] = np.linalg.lstsq(A, rhs[:, bad], rcond=None)[0]
-    entries = layout.g ** 2 * x[rows]
-    return EffectiveCouplingMatrix(entries, "numeric", params.boundary,
-                                   layout.cells, layout.g)
+    return layout.g ** 2 * x[rows]
 
 
 def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
-                     form: str) -> EffectiveCouplingMatrix:
-    """Closed-form effective coupling matrix for the uniform model t1 == t2.
+                     form: str) -> np.ndarray:
+    """Closed-form effective coupling matrix for the uniform model t1 == t2,
+    laid out as `heff_numeric`'s.
 
-    entries = g^2 G_bb between the emitter cells (see `_bb_resolvent`): the
+    It is g^2 G_bb between the emitter cells (see `_bb_resolvent`): the
     diagonal is the self-energy, a coupling s cells to the right has
     magnitude 4 J g^2 |kappa|^(s-1) / (gamma + 2J)^2, and on the open chain
     leftward couplings carry the boundary sign (-1)^(N+1).
@@ -143,7 +126,5 @@ def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
     if problems := closed_form_problems(params, form):
         raise ValueError("; ".join(problems))
     cells = layout.cells
-    entries = layout.g ** 2 * _bb_resolvent(params, cells, cells,
-                                            finite=form == "finite")
-    return EffectiveCouplingMatrix(entries, f"closed_form_{form}",
-                                   params.boundary, cells, layout.g)
+    return layout.g ** 2 * _bb_resolvent(params, cells, cells,
+                                         finite=form == "finite")

@@ -92,9 +92,8 @@ class LatticeParams:
         """Photon-block index of the lossy cavity of `cell` (1-based)."""
         return 2 * (cell - 1) + 1
 
-    def check_cell(self, cell: int) -> int:
+    def check_cell(self, cell: int) -> None:
         require_index("cell index", cell, self.n_cells)
-        return cell
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,7 @@ class EmitterLayout:
         """Raise ValueError unless every cell lies in 1..N (the constructor
         has already checked that each is an integer)."""
         for c in self.cells:
-            if not 1 <= c <= params.n_cells:
-                raise ValueError(f"cell index {c} out of range 1..{params.n_cells}")
+            params.check_cell(c)
 
 
 def weak_coupling_warnings(params: LatticeParams, layout: EmitterLayout) -> list:

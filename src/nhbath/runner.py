@@ -58,7 +58,7 @@ def _spectrum_files(cfg: ExperimentConfig) -> dict:
                                           res.eigenvalues.real))]
         label = np.arange(evs.size)
     return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"),
-                                 (evs.real, evs.imag, [res.boundary] * evs.size,
+                                 (evs.real, evs.imag, [cfg.boundary] * evs.size,
                                   label))}
 
 
@@ -66,11 +66,12 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
     lattice, layout = cfg.lattice, cfg.emitters
     H = build_total_hamiltonian(lattice, layout)
     psi0 = excited_emitter_state(lattice, layout, which=cfg.excited_emitter)
-    traj = evolve(H, psi0, layout.n_emitters, _time_grid(cfg))
-    pops = emitter_populations(traj)
-    dens = photon_density(traj)
+    times = _time_grid(cfg)
+    amps = evolve(H, psi0, layout.n_emitters, times)
+    pops = emitter_populations(amps, layout.n_emitters)
+    dens = photon_density(amps, layout.n_emitters)
 
-    ts = [repr(t) for t in traj.times.tolist()]
+    ts = [repr(t) for t in times.tolist()]
 
     def samples(values, first):  # (t, index, value) rows, time-major
         n_steps, width = values.shape
@@ -83,7 +84,7 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
         "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
     }
     if cfg.experiment == "emit":
-        rep = localization_report(traj.times, cell_weights(dens),
+        rep = localization_report(times, cell_weights(dens),
                                   cfg.cells[0], cfg.t_av, lattice.periodic)
         files["localization.csv"] = _localization_csv(
             [(cfg.gamma, rep.p_local, rep.p_left, rep.p_right)])
@@ -92,20 +93,23 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
 
 def _heff_files(cfg: ExperimentConfig) -> dict:
     if cfg.heff_method == "numeric":
-        mat = heff_numeric(cfg.lattice, cfg.emitters)
+        method = "numeric"
+        entries = heff_numeric(cfg.lattice, cfg.emitters)
     else:
-        mat = heff_closed_form(cfg.lattice, cfg.emitters, form=cfg.heff_method)
-    entries = mat.entries.ravel(order="C")
+        method = f"closed_form_{cfg.heff_method}"
+        entries = heff_closed_form(cfg.lattice, cfg.emitters,
+                                   form=cfg.heff_method)
+    entries = entries.ravel(order="C")
     if not np.isfinite(entries).all():  # JSON has no NaN or Infinity
         raise ValueError("the coupling matrix has a non-finite entry")
     # each value formatted once, as json writes a float (float.__repr__)
     re = list(map(repr, entries.real.tolist()))
     im = list(map(repr, entries.imag.tolist()))
     payload = {
-        "method": mat.method,
-        "boundary": mat.boundary,
+        "method": method,
+        "boundary": cfg.boundary,
         "params": {"N": cfg.N, "t1": cfg.t1, "t2": cfg.t2, "gamma": cfg.gamma,
-                   "g": mat.g, "cells": list(mat.cells)},
+                   "g": cfg.g, "cells": list(cfg.cells)},
         "entries": [],
     }
     # json's indent layout of the [re, im] pairs, written here because
@@ -114,7 +118,7 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
                        for r, i in zip(re, im))
     text = json.dumps(payload, sort_keys=True, indent=2).replace(
         '"entries": []', f'"entries": [\n{pairs}\n  ]', 1)
-    labels = [str(c) for c in mat.cells]
+    labels = [str(c) for c in cfg.cells]
     return {
         "heff.json": text + "\n",
         "heff.csv": _csv(("m", "n", "re", "im"),

@@ -49,7 +49,6 @@ class SpectrumResult:
     """
 
     eigenvalues: np.ndarray
-    boundary: str
     defectivity: float
     q_values: Optional[np.ndarray] = None
 
@@ -70,8 +69,8 @@ def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
     # eigenvalues from eigvals, vectors from eig: LAPACK takes another path
     # when it also computes vectors, and spectrum.csv writes the eigenvalues
     _, vecs = np.linalg.eig(bm)
-    return SpectrumResult(np.linalg.eigvals(bm).ravel(), params.boundary,
-                          _defectivity(vecs), q_values=np.repeat(q, 2))
+    return SpectrumResult(np.linalg.eigvals(bm).ravel(), _defectivity(vecs),
+                          q_values=np.repeat(q, 2))
 
 
 def obc_spectrum(params: LatticeParams) -> SpectrumResult:
@@ -102,7 +101,7 @@ def obc_spectrum(params: LatticeParams) -> SpectrumResult:
         lower[0::2] *= -1
         evs = np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1))
     defect = abs((t1 - gamma / 2) / (t1 + gamma / 2)) ** (n / 2)
-    return SpectrumResult(evs - 0.5j * gamma, params.boundary, defect)
+    return SpectrumResult(evs - 0.5j * gamma, defect)
 
 
 def band_centroid(params: LatticeParams, band: str = "upper",

@@ -10,20 +10,22 @@ import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
                     cell_weights, emitter_populations,
                     evolve, excited_emitter_state, fit_decay_rate,
-                    heff_closed_form, localization_report, parse_config,
-                    photon_density, run_experiment, stacked_cell_weights)
+                    heff_closed_form, heff_numeric, localization_report,
+                    parse_config, photon_density, run_experiment,
+                    stacked_cell_weights)
 from nhbath.lattice import rotate_cells
 from oracles import expm_stepped, picture_unitary
 
 
-def _mapped_density(traj):
+def _mapped_density(amps, n_emitters):
     """Mapped-picture photon populations, as `photon_density` documents."""
-    return np.abs(rotate_cells(traj.amplitudes[:, traj.n_emitters:])) ** 2
+    return np.abs(rotate_cells(amps[:, n_emitters:])) ** 2
 
 
-def _localize(traj, *args, **kwargs):
-    """`localization_report` of a trajectory's photon cell weights."""
-    return localization_report(traj.times, cell_weights(photon_density(traj)),
+def _localize(times, amps, *args, **kwargs):
+    """`localization_report` of the photon cell weights of a one-emitter
+    trajectory sampled at `times`."""
+    return localization_report(times, cell_weights(photon_density(amps, 1)),
                                *args, **kwargs)
 
 
@@ -38,22 +40,22 @@ class TestEvolve:
     def test_initial_state_kept(self):
         _, lay, H = _setup()
         psi0 = excited_emitter_state(LatticeParams(8, 1.0, 1.0, 1.0, "open"), lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 11))
-        assert traj.n_steps == 11
-        np.testing.assert_array_equal(traj.amplitudes[0], psi0)
-        assert traj.norm_history[0] == pytest.approx(1.0)
+        amps = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 11))
+        assert amps.shape == (11, psi0.size)
+        np.testing.assert_array_equal(amps[0], psi0)
+        assert np.linalg.norm(amps[0]) == pytest.approx(1.0)
 
     def test_lossless_norm_conserved(self):
         p, lay, H = _setup(gamma=0.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
-        np.testing.assert_allclose(traj.norm_history, 1.0, atol=1e-10)
+        amps = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
+        np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, atol=1e-10)
 
     def test_norm_monotone_with_loss(self):
         p, lay, H = _setup(gamma=1.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
-        assert np.all(np.diff(traj.norm_history) <= 1e-12)
+        amps = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
+        assert np.all(np.diff(np.linalg.norm(amps, axis=1)) <= 1e-12)
 
     def test_uniform_and_irregular_grids_agree(self):
         p, lay, H = _setup()
@@ -64,8 +66,7 @@ class TestEvolve:
         tu = evolve(H, psi0, lay.n_emitters, uniform)
         tj = evolve(H, psi0, lay.n_emitters, jitter)
         for k in (1, 2, 5, 6):
-            np.testing.assert_allclose(tu.amplitudes[k],
-                                       tj.amplitudes[k], atol=1e-9)
+            np.testing.assert_allclose(tu[k], tj[k], atol=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 4.0, 20.0])
     @pytest.mark.parametrize("n", [2, 3, 7])
@@ -74,8 +75,8 @@ class TestEvolve:
         p, lay, H = _setup(n=n, gamma=gamma, g=0.3, boundary=boundary, cell=n)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 10, 41)
-        traj = evolve(H, psi0, lay.n_emitters, times)
-        np.testing.assert_allclose(traj.amplitudes,
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        np.testing.assert_allclose(amps,
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -87,8 +88,8 @@ class TestEvolve:
         psi0 = excited_emitter_state(p, lay)
         dts = np.random.default_rng(5).uniform(1e-3, 1.5, 30)
         times = np.r_[0.0, np.cumsum(dts)]
-        traj = evolve(H, psi0, lay.n_emitters, times)
-        np.testing.assert_allclose(traj.amplitudes,
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        np.testing.assert_allclose(amps,
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -106,9 +107,9 @@ class TestEvolve:
             return degree(x)
 
         monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
-        traj = evolve(H, psi0, lay.n_emitters, times)
+        amps = evolve(H, psi0, lay.n_emitters, times)
         assert len(xs) == 5 and all(0.95 < x <= 1.0 for x in xs)
-        np.testing.assert_allclose(traj.amplitudes,
+        np.testing.assert_allclose(amps,
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -118,8 +119,8 @@ class TestEvolve:
         # would leave ~1/17! = 2.8e-15
         lam = np.array([1.0, -1.0, -0.5j])
         psi0 = np.array([0.6, 0.0, 0.8j])
-        traj = evolve(np.diag(lam), psi0, 1, [0.0, 1.0])
-        np.testing.assert_allclose(traj.amplitudes[1],
+        amps = evolve(np.diag(lam), psi0, 1, [0.0, 1.0])
+        np.testing.assert_allclose(amps[1],
                                    np.exp(-1j * lam) * psi0,
                                    rtol=0, atol=1e-15)
 
@@ -135,9 +136,9 @@ class TestEvolve:
     def test_norm_never_grows_on_the_defective_chain(self):
         # gamma = 2J: the field Hamiltonian is defective and highly non-normal
         p, lay, H = _setup(n=400, gamma=2.0, g=0.1, cell=200)
-        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+        amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
                       np.linspace(0, 40, 401))
-        assert np.diff(traj.norm_history).max() <= 1e-14
+        assert np.diff(np.linalg.norm(amps, axis=1)).max() <= 1e-14
 
     def test_bad_inputs(self):
         p, lay, H = _setup()
@@ -169,21 +170,37 @@ class TestEvolve:
                 evolve(H, psi0, n_emitters, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_results_are_plain_arrays(boundary):
+    # evolve returns the amplitudes, emitters first, and both H_eff
+    # functions the (n_e, n_e) coupling matrix itself
+    p = LatticeParams(7, 1.0, 1.0, 1.5, boundary)
+    lay = EmitterLayout([2, 6, 4], 0.1)
+    amps = evolve(build_total_hamiltonian(p, lay), excited_emitter_state(p, lay),
+                  lay.n_emitters, np.linspace(0, 2, 5))
+    assert type(amps) is np.ndarray and amps.dtype == complex
+    assert amps.shape == (5, lay.n_emitters + 2 * p.n_cells)
+    for h in (heff_numeric(p, lay), heff_closed_form(p, lay, form="finite"),
+              heff_closed_form(p, lay, form="asymptotic")):
+        assert type(h) is np.ndarray and h.dtype == complex
+        assert h.shape == (lay.n_emitters, lay.n_emitters)
+
+
 class TestObservables:
     def test_population_conservation_split(self):
         p, lay, H = _setup(gamma=0.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 10, 41))
-        pe = emitter_populations(traj).sum(axis=1)
-        pf = photon_density(traj).sum(axis=1)
+        amps = evolve(H, psi0, lay.n_emitters, np.linspace(0, 10, 41))
+        pe = emitter_populations(amps, lay.n_emitters).sum(axis=1)
+        pf = photon_density(amps, lay.n_emitters).sum(axis=1)
         np.testing.assert_allclose(pe + pf, 1.0, atol=1e-10)
 
     def test_density_is_picture_covariant_not_invariant(self):
         p, lay, H = _setup(gamma=2.0)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 21))
-        orig = photon_density(traj)
-        mapped = _mapped_density(traj)
+        amps = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 21))
+        orig = photon_density(amps, lay.n_emitters)
+        mapped = _mapped_density(amps, lay.n_emitters)
         # total photonic weight agrees (the rotation is unitary) ...
         np.testing.assert_allclose(orig.sum(axis=1), mapped.sum(axis=1), atol=1e-10)
         # ... but the site-resolved profiles differ
@@ -194,12 +211,12 @@ class TestObservables:
         p = LatticeParams(6, 1.0, 1.0, 1.4, boundary)
         lay = EmitterLayout([2, 5], 0.2)
         H = build_total_hamiltonian(p, lay)
-        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+        amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
                       np.linspace(0, 4, 9))
         U = picture_unitary(p.n_cells, lay.n_emitters)
         want = np.array([np.abs(U @ v)[lay.n_emitters:] ** 2
-                         for v in traj.amplitudes])
-        np.testing.assert_allclose(_mapped_density(traj), want,
+                         for v in amps])
+        np.testing.assert_allclose(_mapped_density(amps, lay.n_emitters), want,
                                    rtol=0, atol=1e-15)
 
 
@@ -207,52 +224,54 @@ class TestLocalizationReport:
     def test_probabilities_normalized(self):
         p, lay, H = _setup(n=30, gamma=1.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
-        rep = _localize(traj, 10, 20.0)
+        times = np.linspace(0, 20, 101)
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        rep = _localize(times, amps, 10, 20.0)
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
-        assert rep.atom_cell == 10 and rep.t_average == 20.0
 
     def test_directional_regime_emits_nothing_left(self):
         p, lay, H = _setup(n=30, gamma=2.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 20, 101))
-        rep = _localize(traj, 10, 20.0)
+        times = np.linspace(0, 20, 101)
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        rep = _localize(times, amps, 10, 20.0)
         assert rep.p_local > 0.9
         assert rep.p_right < 1e-10  # nothing propagates to the right either
 
     def test_window_validation(self):
         p, lay, H = _setup()
         psi0 = excited_emitter_state(p, lay)
-        traj = evolve(H, psi0, lay.n_emitters, np.linspace(0, 5, 11))
+        times = np.linspace(0, 5, 11)
+        amps = evolve(H, psi0, lay.n_emitters, times)
         with pytest.raises(ValueError):
-            _localize(traj, 3, 50.0)
+            _localize(times, amps, 3, 50.0)
         with pytest.raises(ValueError):
-            _localize(traj, 99, 5.0)
+            _localize(times, amps, 99, 5.0)
         for cell in (2.5, True):
             with pytest.raises(ValueError, match="must be an integer"):
-                _localize(traj, cell, 5.0)
-        weights = cell_weights(photon_density(traj))
-        for times, w in ((traj.times[:-1], weights), (traj.times, weights[0]),
-                         (traj.times[:1], weights[:1])):
+                _localize(times, amps, cell, 5.0)
+        weights = cell_weights(photon_density(amps, lay.n_emitters))
+        for ts, w in ((times[:-1], weights), (times, weights[0]),
+                      (times[:1], weights[:1])):
             with pytest.raises(ValueError, match="shape"):
-                localization_report(times, w, 3, 5.0)
+                localization_report(ts, w, 3, 5.0)
 
     def test_window_shorter_than_a_step(self):
         # a window holding one sample has no time average (the trapezoid
         # would divide 0 by 0); the rule is the config's t_av >= t_max/(n-1)
         p, lay, H = _setup(n=6)
-        traj = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
-                      np.linspace(0, 2, 5))
+        times = np.linspace(0, 2, 5)
+        amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters, times)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="time step"):
-                _localize(traj, 3, 0.1)
+                _localize(times, amps, 3, 0.1)
             with pytest.raises(ValueError, match="time step"):
-                _localize(traj, 3, 0.5 - 1e-9)
+                _localize(times, amps, 3, 0.5 - 1e-9)
             for t_average in (np.nan, -1.0):
                 with pytest.raises(ValueError, match="t_average must be finite"):
-                    _localize(traj, 3, t_average)
-            rep = _localize(traj, 3, 0.5)  # exactly one step
+                    _localize(times, amps, 3, t_average)
+            rep = _localize(times, amps, 3, 0.5)  # exactly one step
         assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
         assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
 
@@ -261,14 +280,14 @@ class TestLocalizationReport:
         # on the ring every cell is alike: cell N's cloud partner is cell 1,
         # so P_loc does not depend on the emitter cell
         p = LatticeParams(10, 1.0, 1.0, 2.0, "periodic")
+        times = np.linspace(0, 20, 201)
         wrapped, unwrapped = [], []
         for cell in range(1, 11):
             lay = EmitterLayout([cell], 0.1)
-            traj = evolve(build_total_hamiltonian(p, lay),
-                          excited_emitter_state(p, lay), lay.n_emitters,
-                          np.linspace(0, 20, 201))
-            wrapped.append(_localize(traj, cell, 20.0, periodic=True))
-            unwrapped.append(_localize(traj, cell, 20.0))
+            amps = evolve(build_total_hamiltonian(p, lay),
+                          excited_emitter_state(p, lay), lay.n_emitters, times)
+            wrapped.append(_localize(times, amps, cell, 20.0, periodic=True))
+            unwrapped.append(_localize(times, amps, cell, 20.0))
         p_loc = [rep.p_local for rep in wrapped]
         np.testing.assert_allclose(p_loc, p_loc[0], rtol=1e-12, atol=0)
         assert p_loc[0] > 0.98
@@ -295,10 +314,9 @@ class TestStackedCellWeights:
                                    psi0, lay.n_emitters, times)
         assert got.shape == (201, 3, 10)
         for k, gamma in enumerate(self.GAMMAS):
-            traj = evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times)
-            np.testing.assert_allclose(got[:, k],
-                                       cell_weights(photon_density(traj)),
-                                       rtol=0, atol=1e-13)
+            amps = evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times)
+            want = cell_weights(photon_density(amps, lay.n_emitters))
+            np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-13)
 
     def test_sweep_rows_match_per_gamma_reports(self, tmp_path):
         # the emitter sits in cell N, whose local pair wraps to cell 1
@@ -311,9 +329,9 @@ class TestStackedCellWeights:
         times = np.linspace(0, 20, 201)
         for row, gamma in zip(rows, self.GAMMAS):
             p, lay, H = self._ring(gamma)
-            rep = _localize(evolve(H, excited_emitter_state(p, lay),
-                                   lay.n_emitters, times),
-                            10, 15.0, periodic=True)
+            amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
+                          times)
+            rep = _localize(times, amps, 10, 15.0, periodic=True)
             assert row[0] == gamma
             np.testing.assert_allclose(row[1:], [rep.p_local, rep.p_left,
                                                  rep.p_right], rtol=0, atol=1e-13)
@@ -344,7 +362,7 @@ def _directional_populations(params, layout, times):
 def _heff_populations(params, layout, times):
     """|c_m|^2 from emitter 1 excited under i dc/dt = H_eff c, stepped by
     expm(-i H_eff dt) of the exact closed-form H_eff."""
-    heff = heff_closed_form(params, layout, form="finite").entries
+    heff = heff_closed_form(params, layout, form="finite")
     step = expm(-1j * heff * (times[1] - times[0]))
     c = np.zeros((times.size, layout.n_emitters), dtype=complex)
     c[0, 0] = 1.0
@@ -364,9 +382,10 @@ class TestMarkovLimit:
         p = LatticeParams(40, 1.0, 1.0, gamma, boundary)
         lay = EmitterLayout([10, 11, 12, 13], g)
         times = np.linspace(0, 6 / (g ** 2 / 4), 301)
-        traj = evolve(build_total_hamiltonian(p, lay),
+        amps = evolve(build_total_hamiltonian(p, lay),
                       excited_emitter_state(p, lay), lay.n_emitters, times)
-        return np.abs(emitter_populations(traj) - oracle(p, lay, times)).max()
+        pops = emitter_populations(amps, lay.n_emitters)
+        return np.abs(pops - oracle(p, lay, times)).max()
 
     @pytest.mark.parametrize("gamma,oracle,bound", [
         pytest.param(2.0, _directional_populations, 1e-3, id="gamma=2J"),

@@ -40,7 +40,7 @@ def finite_bb(params):
     """bb resolvent between every pair of cells, read from the finite
     closed form with g = 1."""
     lay = EmitterLayout(range(1, params.n_cells + 1), 1.0)
-    return heff_closed_form(params, lay, form="finite").entries
+    return heff_closed_form(params, lay, form="finite")
 
 
 class TestPoleData:
@@ -50,7 +50,7 @@ class TestPoleData:
     def test_uniform_model_poles(self):
         p = LatticeParams(41, 1.0, 1.0, 1.0)
         kappa = (1.0 - 2.0) / (1.0 + 2.0)
-        for h in (heff_numeric(p, EmitterLayout(range(1, 42), 0.1)).entries,
+        for h in (heff_numeric(p, EmitterLayout(range(1, 42), 0.1)),
                   finite_bb(p)):
             ratio = h[2:6, 0] / h[1:5, 0]
             np.testing.assert_allclose(ratio, -1.0 / 3.0, rtol=1e-12)
@@ -98,7 +98,7 @@ class TestGreensPbc:
 
     def test_frozen_value(self):
         p = LatticeParams(9, 1.0, 1.0, 1.0)
-        h = heff_closed_form(p, EmitterLayout([3, 1], 0.1), form="finite").entries
+        h = heff_closed_form(p, EmitterLayout([3, 1], 0.1), form="finite")
         assert h[0, 1] == pytest.approx(0.1 ** 2 * -0.14814062182483234j, abs=1e-16)
 
     def test_even_uniform_ring_bb_limit(self):
@@ -180,7 +180,7 @@ class TestBoundaryInsensitivity:
     @pytest.mark.parametrize("n_cells", [9, 10, 40])
     def test_open_chain_numeric_is_toeplitz(self, n_cells, gamma):
         p = LatticeParams(n_cells, 1.0, 1.0, gamma, "open")
-        h = heff_numeric(p, EmitterLayout(range(1, n_cells + 1), 0.1)).entries
+        h = heff_numeric(p, EmitterLayout(range(1, n_cells + 1), 0.1))
         np.testing.assert_allclose(h[1:, 1:], h[:-1, :-1], rtol=0,
                                    atol=1e-13 * np.abs(h).max())
 
@@ -196,9 +196,9 @@ class TestBoundaryInsensitivity:
         want = 1j * gam_eff * (np.diag(np.ones(n_cells - 1), -1)
                                - np.eye(n_cells))
         want[0, -1] = sigma * 1j * gam_eff
-        closed = heff_closed_form(p, lay, form="finite").entries
+        closed = heff_closed_form(p, lay, form="finite")
         np.testing.assert_allclose(closed, want, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(heff_numeric(p, lay).entries, want,
+        np.testing.assert_allclose(heff_numeric(p, lay), want,
                                    rtol=0, atol=1e-13 * gam_eff)
 
 
@@ -206,24 +206,23 @@ class TestHeffNumeric:
     def test_matches_resolvent_definition(self):
         p = LatticeParams(9, 1.0, 1.0, 1.0)
         lay = EmitterLayout([2, 5, 8], 0.1)
-        mat = heff_numeric(p, lay)
-        assert mat.method == "numeric"
+        h = heff_numeric(p, lay)
         for i, ci in enumerate(lay.cells):
             for j, cj in enumerate(lay.cells):
                 want = 0.01 * dense_resolvent_bb(p, ci, cj)
-                assert mat.entries[i, j] == pytest.approx(want, abs=1e-14)
+                assert h[i, j] == pytest.approx(want, abs=1e-14)
         # scattered, unsorted cells on both boundaries, both methods: row =
         # target, column = source, so a transposed or mis-gathered index fails
         lay = EmitterLayout([7, 2, 30, 15], 0.1)
         for p in (LatticeParams(41, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0, "open")):
-            for mat in (heff_numeric(p, lay),
-                        heff_closed_form(p, lay, form="finite")):
+            for h in (heff_numeric(p, lay),
+                      heff_closed_form(p, lay, form="finite")):
                 for i, ci in enumerate(lay.cells):
                     for j, cj in enumerate(lay.cells):
                         want = 0.01 * dense_resolvent_bb(p, ci, cj)
-                        assert mat.entries[i, j] == pytest.approx(want, abs=1e-13)
+                        assert h[i, j] == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("fault", ["solve_raises", "one_column_corrupted"])
     def test_lstsq_fallback(self, monkeypatch, fault):
@@ -255,22 +254,22 @@ class TestHeffNumeric:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-        got = heff_numeric(p, lay).entries
+        got = heff_numeric(p, lay)
         assert sent == (set(rows) if fault == "solve_raises" else {bad_row})
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_uniform_model_entries_purely_imaginary(self):
         p = LatticeParams(9, 1.0, 1.0, 1.3)
         lay = EmitterLayout(range(1, 10), 0.05)
-        mat = heff_numeric(p, lay)
-        assert np.max(np.abs(mat.entries.real)) < 1e-9 * np.max(np.abs(mat.entries.imag))
+        h = heff_numeric(p, lay)
+        assert np.max(np.abs(h.real)) < 1e-9 * np.max(np.abs(h.imag))
 
     def test_ep_fully_nonreciprocal_pattern(self):
         # directional limit: only self-energies, first subdiagonal and the
         # wrap-around corner survive
         p = LatticeParams(9, 1.0, 1.0, 2.0)
         lay = EmitterLayout(range(1, 10), 0.1)
-        h = heff_numeric(p, lay).entries
+        h = heff_numeric(p, lay)
         gam_eff = 0.1 ** 2 / 4
         np.testing.assert_allclose(np.diag(h), -1j * gam_eff, atol=1e-12)
         np.testing.assert_allclose(np.diag(h, -1), 1j * gam_eff, atol=1e-12)
@@ -290,25 +289,23 @@ class TestHeffClosedForm:
     def test_finite_matches_numeric(self, n_cells, gamma):
         p = LatticeParams(n_cells, 1.0, 1.0, gamma)
         lay = EmitterLayout(range(1, n_cells + 1), 0.1)
-        num = heff_numeric(p, lay).entries
+        num = heff_numeric(p, lay)
         closed = heff_closed_form(p, lay, form="finite")
-        assert closed.method == "closed_form_finite"
         scale = np.max(np.abs(num))
-        np.testing.assert_allclose(closed.entries, num, atol=1e-13 * scale)
+        np.testing.assert_allclose(closed, num, atol=1e-13 * scale)
 
     def test_finite_obc_matches_numeric(self):
         for n_cells in (9, 10):
             p = LatticeParams(n_cells, 1.0, 1.0, 1.0, "open")
             lay = EmitterLayout(range(1, n_cells + 1), 0.1)
-            num = heff_numeric(p, lay).entries
-            closed = heff_closed_form(p, lay, form="finite").entries
+            num = heff_numeric(p, lay)
+            closed = heff_closed_form(p, lay, form="finite")
             np.testing.assert_allclose(closed, num, atol=1e-13 * np.max(np.abs(num)))
 
     def test_asymptotic_geometric_decay(self):
         p = LatticeParams(40, 1.0, 1.0, 1.0)
         lay = EmitterLayout([5, 6, 7, 9], 0.05)
-        mat = heff_closed_form(p, lay, form="asymptotic")
-        h = mat.entries
+        h = heff_closed_form(p, lay, form="asymptotic")
         kappa = (1.0 - 2.0) / (1.0 + 2.0)
         nn = 1j * 4 * 0.05 ** 2 * 1.0 / (1.0 + 2.0) ** 2  # one-cell coupling
         # rightward couplings decay by kappa per extra cell, diagonal is common
@@ -321,8 +318,8 @@ class TestHeffClosedForm:
     def test_asymptotic_agrees_with_numeric_on_long_ring(self):
         p = LatticeParams(60, 1.0, 1.0, 1.2)
         lay = EmitterLayout([10, 12, 15], 0.05)
-        num = heff_numeric(p, lay).entries
-        asym = heff_closed_form(p, lay, form="asymptotic").entries
+        num = heff_numeric(p, lay)
+        asym = heff_closed_form(p, lay, form="asymptotic")
         np.testing.assert_allclose(asym, num, atol=1e-10 * np.max(np.abs(num)))
 
     def test_obc_wrapped_pairs_pick_up_boundary_sign(self):
@@ -331,8 +328,8 @@ class TestHeffClosedForm:
             ring = LatticeParams(n_cells, 1.0, 1.0, 1.0)
             chain = dataclasses.replace(ring, boundary="open")
             lay = EmitterLayout(range(1, n_cells + 1), 0.05)
-            hp = heff_closed_form(ring, lay, form="asymptotic").entries
-            ho = heff_closed_form(chain, lay, form="asymptotic").entries
+            hp = heff_closed_form(ring, lay, form="asymptotic")
+            ho = heff_closed_form(chain, lay, form="asymptotic")
             upper = np.triu(np.ones_like(hp.real, dtype=bool), 1)
             np.testing.assert_allclose(ho[upper], sign * hp[upper], rtol=1e-12)
             np.testing.assert_allclose(ho[~upper], hp[~upper], rtol=1e-12)
@@ -340,9 +337,9 @@ class TestHeffClosedForm:
     def test_gamma_zero(self):
         p = LatticeParams(9, 1.0, 1.0, 0.0)
         lay = EmitterLayout([2, 5], 0.05)
-        mat = heff_closed_form(p, lay, form="asymptotic")
+        h = heff_closed_form(p, lay, form="asymptotic")
         # non-decaying alternating couplings of magnitude g^2/J
-        assert abs(mat.entries[1, 0]) == pytest.approx(0.05 ** 2, rel=1e-12)
+        assert abs(h[1, 0]) == pytest.approx(0.05 ** 2, rel=1e-12)
         with pytest.raises(ValueError):
             heff_closed_form(p, lay, form="finite")
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import nhbath.runner
-from nhbath import (EffectiveCouplingMatrix, emitter_populations, parse_config,
-                    photon_density, run_experiment)
+from nhbath import (emitter_populations, parse_config, photon_density,
+                    run_experiment)
 from nhbath.cli import main
 from nhbath.runner import _csv
 
@@ -45,26 +45,27 @@ class TestTrajectoryFiles:
                "gamma": 2.0, "boundary": "open", "g": 0.1, "cells": cells,
                "excited_emitter": excited, "t_max": 3.0, "n_points": 7,
                "t_av": 3.0, "output_dir": str(tmp_path)}
-        evolve, trajs = nhbath.runner.evolve, []
+        evolve, runs = nhbath.runner.evolve, []
 
-        def evolve_spy(*args, **kwargs):
-            trajs.append(evolve(*args, **kwargs))
-            return trajs[-1]
+        def evolve_spy(hamiltonian, initial, n_emitters, times):
+            runs.append((n_emitters, times,
+                         evolve(hamiltonian, initial, n_emitters, times)))
+            return runs[-1][2]
 
         monkeypatch.setattr(nhbath.runner, "evolve", evolve_spy)
         if negative_zero:  # evolve accepts a grid that starts at -0.0
             monkeypatch.setattr(nhbath.runner, "_time_grid", lambda cfg: np.r_[
                 -0.0, np.linspace(0.0, cfg.t_max, cfg.n_points)[1:]])
         run_experiment(parse_config(json.dumps(raw)))
-        (traj,) = trajs
+        ((n_emitters, times, amps),) = runs
         first = "-0.0" if negative_zero else "0.0"
         pops = (tmp_path / "populations.csv").read_text()
         assert pops == "t,emitter_index,p\n" + _oracle_rows(
-            traj.times, emitter_populations(traj), 1)
+            times, emitter_populations(amps, n_emitters), 1)
         assert pops.splitlines()[excited] == f"{first},{excited}.0,1.0"
         dens = (tmp_path / "density.csv").read_text()
         assert dens == "t,site_index,density\n" + _oracle_rows(
-            traj.times, photon_density(traj), 0)
+            times, photon_density(amps, n_emitters), 0)
         assert dens.splitlines()[1] == f"{first},0.0,0.0"
         assert dens.splitlines()[13].startswith("0.5,0.0,")
 
@@ -75,25 +76,26 @@ def _heff_raw(tmp_path, method, boundary, cells):
             "heff_method": method, "output_dir": str(tmp_path / "out")}
 
 
-def _heff_oracles(mat, raw):
+def _heff_oracles(entries, raw):
     """heff.json as json.dumps writes the whole payload, and heff.csv row by
-    row with every value repr(float(x))."""
-    payload = {"method": mat.method, "boundary": mat.boundary,
+    row with every value repr(float(x)), labelled from the config `raw`."""
+    method, cells = raw["heff_method"], raw["cells"]
+    if method != "numeric":
+        method = f"closed_form_{method}"
+    payload = {"method": method, "boundary": raw["boundary"],
                "params": {"N": raw["N"], "t1": raw["t1"], "t2": raw["t2"],
-                          "gamma": raw["gamma"], "g": mat.g,
-                          "cells": list(mat.cells)},
-               "entries": [[z.real, z.imag] for z in mat.entries.ravel().tolist()]}
+                          "gamma": raw["gamma"], "g": raw["g"], "cells": cells},
+               "entries": [[z.real, z.imag] for z in entries.ravel().tolist()]}
     rows = "".join(f"{m},{n},{repr(float(z.real))},{repr(float(z.imag))}\n"
-                   for m, row in zip(mat.cells, mat.entries)
-                   for n, z in zip(mat.cells, row))
+                   for m, row in zip(cells, entries)
+                   for n, z in zip(cells, row))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", "m,n,re,im\n" + rows
 
 
-def _return_matrix(monkeypatch, entries, cells):
-    mat = EffectiveCouplingMatrix(np.array(entries, dtype=complex), "numeric",
-                                  "open", tuple(cells), 0.1)
-    monkeypatch.setattr(nhbath.runner, "heff_numeric", lambda *args: mat)
-    return mat
+def _return_matrix(monkeypatch, entries):
+    entries = np.array(entries, dtype=complex)
+    monkeypatch.setattr(nhbath.runner, "heff_numeric", lambda *args: entries)
+    return entries
 
 
 class TestHeffFiles:
@@ -104,28 +106,28 @@ class TestHeffFiles:
         ("asymptotic", "heff_closed_form")])
     def test_matches_json_dumps_and_row_wise_oracle(self, tmp_path, monkeypatch,
                                                     method, name, boundary, cells):
-        compute, mats = getattr(nhbath.runner, name), []
+        compute, results = getattr(nhbath.runner, name), []
 
         def compute_spy(*args, **kwargs):
-            mats.append(compute(*args, **kwargs))
-            return mats[-1]
+            results.append(compute(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(nhbath.runner, name, compute_spy)
         raw = _heff_raw(tmp_path, method, boundary, cells)
         run_experiment(parse_config(json.dumps(raw)))
-        (mat,) = mats
-        assert mat.entries.shape == (len(cells), len(cells))
-        want_json, want_csv = _heff_oracles(mat, raw)
+        (entries,) = results
+        assert entries.shape == (len(cells), len(cells))
+        want_json, want_csv = _heff_oracles(entries, raw)
         assert (tmp_path / "out" / "heff.json").read_text() == want_json
         assert (tmp_path / "out" / "heff.csv").read_text() == want_csv
 
     def test_shortest_round_trip_values(self, tmp_path, monkeypatch):
-        mat = _return_matrix(monkeypatch, [
+        entries = _return_matrix(monkeypatch, [
             [complex(-0.0, 5e-324), complex(1e16, 0.1 + 0.2)],
-            [complex(1.2345678901234567, -2.5), complex(3.0, -1e-5)]], [2, 4])
+            [complex(1.2345678901234567, -2.5), complex(3.0, -1e-5)]])
         raw = _heff_raw(tmp_path, "numeric", "open", [2, 4])
         run_experiment(parse_config(json.dumps(raw)))
-        want_json, want_csv = _heff_oracles(mat, raw)
+        want_json, want_csv = _heff_oracles(entries, raw)
         got_json = (tmp_path / "out" / "heff.json").read_text()
         got_csv = (tmp_path / "out" / "heff.csv").read_text()
         assert got_json == want_json
@@ -139,7 +141,7 @@ class TestHeffFiles:
                                      complex(-np.inf, np.nan)])
     def test_non_finite_entry_exits_1_writing_nothing(self, tmp_path, monkeypatch,
                                                       capsys, bad):
-        _return_matrix(monkeypatch, [[1.0, bad], [0.5j, 1.0]], [2, 4])
+        _return_matrix(monkeypatch, [[1.0, bad], [0.5j, 1.0]])
         raw = _heff_raw(tmp_path, "numeric", "open", [2, 4])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
