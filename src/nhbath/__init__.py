@@ -14,9 +14,9 @@ from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
                       intracell_unitary)
 from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
                        obc_spectrum, band_centroid, point_gap_winding)
-from .dynamics import (LocalizationReport, evolve, stacked_cell_weights,
-                       emitter_populations, photon_density, cell_weights,
-                       localization_report, fit_decay_rate)
+from .dynamics import (evolve, stacked_cell_weights, emitter_populations,
+                       photon_density, cell_weights, localization_report,
+                       fit_decay_rate)
 from .effective import (greens_obc, heff_numeric, heff_closed_form,
                         interaction_range)
 from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
@@ -31,7 +31,7 @@ __all__ = [
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
     "band_centroid", "point_gap_winding",
-    "LocalizationReport", "evolve", "stacked_cell_weights",
+    "evolve", "stacked_cell_weights",
     "emitter_populations", "photon_density", "cell_weights",
     "localization_report", "fit_decay_rate",
     "greens_obc", "heff_numeric", "heff_closed_form", "interaction_range",

@@ -16,14 +16,12 @@ class DressedState:
 
     `photon_amps` is the cloud in the mapped picture (alpha1, beta1, alpha2,
     ...), relative to a unit emitter amplitude; `energy` is the complex
-    quasi-eigenvalue -i g^2/(4J).  kind is "bulk" (two-cell cloud) or "edge"
-    (chain-filling cloud of the last-cell emitter on the open chain).
+    quasi-eigenvalue -i g^2/(4J).
     """
 
     photon_amps: np.ndarray
     energy: complex
     source_cell: int
-    kind: str
     g: float
 
 
@@ -66,7 +64,7 @@ def bulk_dressed_state(params: LatticeParams, source_cell: int,
     nxt = source_cell % params.n_cells + 1
     amps[params.b_index(source_cell)] = -1j * g / (np.sqrt(2) * gamma)
     amps[params.a_index(nxt)] = -g / (np.sqrt(2) * gamma)
-    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), source_cell, "bulk", g)
+    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), source_cell, g)
 
 
 def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
@@ -88,7 +86,7 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     amps[1::2] = -1j * c * ph  # beta of cells 1..N
     amps[0] *= 2
     amps[-1] *= 2
-    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), N, "edge", g)
+    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), N, g)
 
 
 def verify_eigenstate(hamiltonian, dressed: DressedState) -> float:

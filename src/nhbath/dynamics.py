@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,11 +46,9 @@ def _taylor_steps(H: csr_array, psi: np.ndarray, times: np.ndarray):
         yield psi
 
 
-def _checked(hamiltonian, initial, n_emitters, times):
-    """(CSR H, initial vector, float times) after the checks every
-    propagation makes: finite times starting at 0 and increasing, finite
-    H and state of matching dimensions, and an even number of photon
-    amplitudes after the `n_emitters` emitter ones."""
+def _time_grid(times) -> np.ndarray:
+    """`times` as floats after the checks of every time grid: finite, 1-D,
+    at least two samples, starting at 0 and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"sample times must be finite, got {times}")
@@ -61,6 +58,15 @@ def _checked(hamiltonian, initial, n_emitters, times):
         raise ValueError("time grid must start at t = 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    return times
+
+
+def _checked(hamiltonian, initial, n_emitters, times):
+    """(CSR H, initial vector, float times) after the checks every
+    propagation makes: a valid time grid (`_time_grid`), finite H and
+    state of matching dimensions, and an even number of photon amplitudes
+    after the `n_emitters` emitter ones."""
+    times = _time_grid(times)
     H = csr_array(hamiltonian, dtype=complex)
     if not np.all(np.isfinite(H.data)):
         raise ValueError("hamiltonian contains non-finite entries")
@@ -130,22 +136,6 @@ def photon_density(amplitudes: np.ndarray, n_emitters: int) -> np.ndarray:
     return np.abs(amplitudes[:, n_emitters:]) ** 2
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
-    """Time-averaged split of the photonic weight around an emitter's cell.
-
-    Probabilities are conditioned on the photon being in the field and
-    normalized so p_local + p_left + p_right == 1.  "Local" means the
-    emitter's cell and the one to its right (cell 1 for cell N on the ring),
-    the pair that hosts the bound photonic cloud in the fully directional
-    regime; left and right are the other cells below and above the emitter's.
-    """
-
-    p_local: float
-    p_left: float
-    p_right: float
-
-
 def cell_weights(density: np.ndarray) -> np.ndarray:
     """Photon weight per cell, a + b, from mode populations (..., 2N) ->
     (..., N)."""
@@ -154,11 +144,18 @@ def cell_weights(density: np.ndarray) -> np.ndarray:
 
 def localization_report(times: Sequence[float], weights: np.ndarray,
                         atom_cell: int, t_average: float,
-                        periodic: bool = False) -> LocalizationReport:
-    """Average the cell weights, shape (n_steps, N) at `times` (see
-    `cell_weights`), over [0, t_average] and split them into local /
-    left-of-emitter / right-of-emitter weights (cells are 1-based).  On the
-    ring (`periodic`) the local pair of cell N is (N, 1)."""
+                        periodic: bool = False) -> np.ndarray:
+    """Time-averaged split of the photonic weight around an emitter's cell.
+
+    Averages the cell weights, shape (n_steps, N) at `times` (see
+    `cell_weights`; a grid as `evolve` takes), over [0, t_average] and
+    returns the float array (P_loc, P_L, P_R).  The probabilities are
+    conditioned on the photon being in the field and sum to 1.  "Local"
+    means the emitter's cell and the one to its right (cells are 1-based;
+    on the ring, `periodic`, the local pair of cell N is (N, 1)), the pair
+    that hosts the bound photonic cloud in the fully directional regime;
+    left and right are the other cells below and above the emitter's.
+    """
     require_positive("t_average", t_average)
     times = np.asarray(times, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -167,26 +164,25 @@ def localization_report(times: Sequence[float], weights: np.ndarray,
         raise ValueError(f"need cell weights of shape (n_steps, N) at n_steps "
                          f">= 2 sample times, got {weights.shape} at "
                          f"{times.shape}")
+    times = _time_grid(times)
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")
-    mask = times <= t_average + 1e-12
-    if mask.sum() < 2:
+    n = np.searchsorted(times, t_average + 1e-12, side="right")
+    if n < 2:
         raise ValueError(f"t_average {t_average} is shorter than the first "
                          f"time step {times[1]}")
-    tms = times[mask]
     n_cells = weights.shape[1]
     require_index("atom_cell", atom_cell, n_cells)
-    avg = np.trapezoid(weights[mask], tms, axis=0) / (tms[-1] - tms[0])
+    avg = np.trapezoid(weights[:n], times[:n], axis=0) / (times[n - 1]
+                                                          - times[0])
     c = atom_cell - 1
     wrap = periodic and atom_cell == n_cells  # cell 1 is cell N's partner
     local = avg[c] + (avg[(c + 1) % n_cells] if c + 1 < n_cells or wrap else 0.0)
-    left = float(avg[int(wrap):c].sum())
-    right = float(avg[c + 2:].sum())
+    left, right = avg[int(wrap):c].sum(), avg[c + 2:].sum()
     total = local + left + right
     if total <= 0:
         raise ValueError("no photonic weight accumulated; nothing to localize")
-    return LocalizationReport(float(local / total), left / total,
-                              right / total)
+    return np.array([local, left, right]) / total
 
 
 def fit_decay_rate(times: Sequence[float], population: Sequence[float],

@@ -13,7 +13,10 @@ BOUNDARIES = (PERIODIC, OPEN)
 
 
 def finite(val) -> bool:
-    """True for NaN-free, infinity-free numbers inside the float range."""
+    """True for NaN-free, infinity-free numbers inside the float range; a
+    bool is not a number."""
+    if isinstance(val, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(val)
     except OverflowError:  # an int too large for a float

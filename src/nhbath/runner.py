@@ -30,9 +30,10 @@ def _csv(header, columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
-def _localization_csv(rows) -> str:
-    """(gamma, P_loc, P_L, P_R) rows as CSV."""
-    return _csv(("gamma", "P_loc", "P_L", "P_R"), np.array(rows, dtype=float).T)
+def _localization_csv(gammas, probs) -> str:
+    """CSV of the (n_gamma, 3) `localization_report` arrays `probs`, one
+    row (gamma, P_loc, P_L, P_R) per entry of `gammas`."""
+    return _csv(("gamma", "P_loc", "P_L", "P_R"), (gammas, *probs.T))
 
 
 def max_workers() -> int:
@@ -84,10 +85,10 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
         "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
     }
     if cfg.experiment == "emit":
-        rep = localization_report(times, cell_weights(dens),
-                                  cfg.cells[0], cfg.t_av, lattice.periodic)
-        files["localization.csv"] = _localization_csv(
-            [(cfg.gamma, rep.p_local, rep.p_left, rep.p_right)])
+        probs = localization_report(times, cell_weights(dens),
+                                    cfg.cells[0], cfg.t_av, lattice.periodic)
+        files["localization.csv"] = _localization_csv((cfg.gamma,),
+                                                      probs[None])
     return files
 
 
@@ -149,12 +150,12 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
     weights = stacked_cell_weights(hamiltonians,
                                    excited_emitter_state(lattice, layout),
                                    layout.n_emitters, times)
-    rows = []
-    for gamma, w in zip(cfg.gamma_values, weights.transpose(1, 0, 2)):
-        rep = localization_report(times, w, cfg.cells[0], cfg.t_av,
-                                  lattice.periodic)
-        rows.append((gamma, rep.p_local, rep.p_left, rep.p_right))
-    return {"sweep.csv": _localization_csv(rows)}
+    # one average per gamma: averaging the whole stack at once would hold
+    # temporaries of its full size
+    probs = np.array([localization_report(times, w, cfg.cells[0], cfg.t_av,
+                                          lattice.periodic)
+                      for w in weights.transpose(1, 0, 2)])
+    return {"sweep.csv": _localization_csv(cfg.gamma_values, probs)}
 
 
 _FILES = {

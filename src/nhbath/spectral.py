@@ -121,31 +121,27 @@ def band_centroid(params: LatticeParams, band: str = "upper",
     return complex(branch.mean())
 
 
-def point_gap_winding(params: LatticeParams, e0: complex,
-                      n_points: int = 4096) -> int:
+def point_gap_winding(params: LatticeParams, e0: complex) -> int:
     """Integer winding of det(B(q) - e0) around zero as q sweeps the zone.
 
-    The sweep takes n_points >= 2 steps (one step from q = 0 to 2*pi would
-    return to its start).  Raises if the boundary is not periodic or if e0
-    (numerically) touches the spectral curve, where the winding is undefined.
+    With z = exp(iq) the determinant is c + a z + b/z, where
+    a = t2 (gamma/2 - t1), b = -t2 (t1 + gamma/2) and
+    c = e0 (e0 + i gamma) - t1^2 - t2^2, so the winding is the number of
+    roots of a z^2 + c z + b inside the unit circle minus one, for the pole
+    at z = 0.  At gamma = 2 t1, a = 0 and the quadratic is linear.  Raises
+    if the boundary is not periodic or if e0 lies on the spectral curve,
+    where the winding is undefined: |det(B(q) - e0)| < 1e-12 (t1 + t2 +
+    gamma + |e0|)^2 at the q of a root, z/|z|.  (The root's modulus alone
+    would miss a band edge, where rounding splits a double root on the
+    circle by ~1e-8.)
     """
     if not params.periodic:
         raise ValueError("point-gap winding is defined for the periodic array")
-    require_count("n_points", n_points, 2)
-    m = int(n_points)
-    for _ in range(3):
-        qs = np.arange(m + 1) * (2 * np.pi / m)
-        b = bloch_matrix(params, qs)
-        dets = (b[:, 0, 0] - e0) * (b[:, 1, 1] - e0) - b[:, 0, 1] * b[:, 1, 0]
-        scale = (params.t1 + params.t2 + params.gamma + abs(e0)) ** 2
-        if np.min(np.abs(dets)) < 1e-12 * scale:
-            raise ValueError("reference energy lies on the spectral curve")
-        phases = np.unwrap(np.angle(dets))
-        steps = np.abs(np.diff(phases))
-        total = phases[-1] - phases[0]
-        w = total / (2 * np.pi)
-        if steps.max() < 1.0 and abs(w - round(w)) < 1e-6:
-            return int(round(w))
-        m *= 4  # refine when the discretization is too coarse
-    raise ValueError("winding did not converge; reference energy may be "
-                     "too close to the spectral curve")
+    t1, t2, gamma = params.t1, params.t2, params.gamma
+    c = e0 * (e0 + 1j * gamma) - t1 ** 2 - t2 ** 2
+    poly = [t2 * (gamma / 2 - t1), c, -t2 * (t1 + gamma / 2)]
+    roots = np.roots(poly)
+    scale = (t1 + t2 + gamma + abs(e0)) ** 2
+    if np.any(np.abs(np.polyval(poly, roots / np.abs(roots))) < 1e-12 * scale):
+        raise ValueError("reference energy lies on the spectral curve")
+    return int(np.count_nonzero(np.abs(roots) < 1)) - 1

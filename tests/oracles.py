@@ -11,12 +11,14 @@ tests read the mapped-picture Hamiltonians from it.  `dense_obc_eig` and
 which `nhbath.evolve` replaces by its bounded Taylor steps.
 `dense_hamiltonian` writes the Hamiltonian entry by entry into a dense
 array, which `nhbath.lattice` assembles as CSR from index arrays.
+`sampled_winding` unwraps the phase of det(B(q) - e0) on a fine q-grid,
+where `nhbath.point_gap_winding` counts the roots of a quadratic.
 """
 import mpmath as mp
 import numpy as np
 from scipy.linalg import expm
 
-from nhbath import build_bare_hamiltonian, intracell_unitary
+from nhbath import bloch_matrix, build_bare_hamiltonian, intracell_unitary
 
 
 def picture_unitary(n_cells, n_emitters=0):
@@ -105,3 +107,21 @@ def dense_hamiltonian(params, cells=(), g=0.0):
     for e, c in enumerate(cells):
         H[e, b(c)] = H[b(c), e] = g
     return H
+
+
+def sampled_winding(params, e0):
+    """Winding of det(B(q) - e0) around zero from its unwrapped phase at
+    equally spaced q from 0 to 2 pi, on a grid doubled from 4096 steps
+    until no step of the phase exceeds 1 rad, so that it resolves the loop."""
+    n_points = 2 ** 12
+    while True:
+        q = np.linspace(0.0, 2 * np.pi, n_points + 1)
+        det = np.linalg.det(bloch_matrix(params, q) - e0 * np.eye(2))
+        phase = np.unwrap(np.angle(det))
+        if np.abs(np.diff(phase)).max() < 1.0:
+            break
+        assert n_points < 2 ** 24, "e0 too close to the spectral curve"
+        n_points *= 2
+    w = (phase[-1] - phase[0]) / (2 * np.pi)
+    assert abs(w - round(w)) < 1e-6
+    return int(round(w))

@@ -116,9 +116,9 @@ def test_criterion_06_localization_cusp():
         p = LatticeParams(100, 1.0, 1.0, float(gamma), "open")
         H = build_total_hamiltonian(p, lay)
         amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters, times)
-        rep = localization_report(
+        probs = localization_report(
             times, cell_weights(photon_density(amps, lay.n_emitters)), 15, 20.0)
-        rows.append((rep.p_local, rep.p_right))
+        rows.append((probs[0], probs[2]))
     p_loc = np.array([r[0] for r in rows])
     at = int(np.argmax(p_loc))
     p_right_at_peak = rows[at][1]

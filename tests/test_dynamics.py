@@ -226,17 +226,17 @@ class TestLocalizationReport:
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 20, 101)
         amps = evolve(H, psi0, lay.n_emitters, times)
-        rep = _localize(times, amps, 10, 20.0)
-        assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
+        probs = _localize(times, amps, 10, 20.0)
+        assert probs.sum() == pytest.approx(1.0)
 
     def test_directional_regime_emits_nothing_left(self):
         p, lay, H = _setup(n=30, gamma=2.0, g=0.05, cell=10)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 20, 101)
         amps = evolve(H, psi0, lay.n_emitters, times)
-        rep = _localize(times, amps, 10, 20.0)
-        assert rep.p_local > 0.9
-        assert rep.p_right < 1e-10  # nothing propagates to the right either
+        probs = _localize(times, amps, 10, 20.0)
+        assert probs[0] > 0.9
+        assert probs[2] < 1e-10  # nothing propagates to the right either
 
     def test_window_validation(self):
         p, lay, H = _setup()
@@ -268,12 +268,25 @@ class TestLocalizationReport:
                 _localize(times, amps, 3, 0.1)
             with pytest.raises(ValueError, match="time step"):
                 _localize(times, amps, 3, 0.5 - 1e-9)
-            for t_average in (np.nan, -1.0):
+            for t_average in (np.nan, -1.0, True):
                 with pytest.raises(ValueError, match="t_average must be finite"):
                     _localize(times, amps, 3, t_average)
-            rep = _localize(times, amps, 3, 0.5)  # exactly one step
-        assert np.isfinite([rep.p_local, rep.p_left, rep.p_right]).all()
-        assert rep.p_local + rep.p_left + rep.p_right == pytest.approx(1.0)
+            probs = _localize(times, amps, 3, 0.5)  # exactly one step
+        assert np.isfinite(probs).all()
+        assert probs.sum() == pytest.approx(1.0)
+
+    def test_time_grid_follows_evolve(self):
+        # the rule of `evolve`: finite, 1-D, >= 2 samples, from 0, increasing
+        w = np.eye(3)[[0, 1, 2, 0]]
+        probs = localization_report([0.0, 1.0, 2.0, 3.0], w, 1, 3.0)
+        assert isinstance(probs, np.ndarray) and probs.shape == (3,)
+        np.testing.assert_allclose(probs, [2 / 3, 0.0, 1 / 3], rtol=1e-15)
+        for ts, match in (([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
+                          ([0.0, 1.0, 1.0, 3.0], "strictly increasing"),
+                          ([1.0, 2.0, 3.0, 4.0], "start at t = 0"),
+                          ([0.0, 1.0, np.nan, 3.0], "finite")):
+            with pytest.raises(ValueError, match=match):
+                localization_report(ts, w, 1, 3.0)
 
 
     def test_ring_local_pair_wraps(self):
@@ -288,13 +301,13 @@ class TestLocalizationReport:
                           excited_emitter_state(p, lay), lay.n_emitters, times)
             wrapped.append(_localize(times, amps, cell, 20.0, periodic=True))
             unwrapped.append(_localize(times, amps, cell, 20.0))
-        p_loc = [rep.p_local for rep in wrapped]
+        p_loc = [probs[0] for probs in wrapped]
         np.testing.assert_allclose(p_loc, p_loc[0], rtol=1e-12, atol=0)
         assert p_loc[0] > 0.98
-        assert wrapped[-1].p_right == 0.0
+        assert wrapped[-1][2] == 0.0
         # the wrap changes cell N alone, whose cloud the chain rule splits
-        assert wrapped[:-1] == unwrapped[:-1]
-        assert unwrapped[-1].p_local < 0.6
+        np.testing.assert_array_equal(wrapped[:-1], unwrapped[:-1])
+        assert unwrapped[-1][0] < 0.6
 
 
 class TestStackedCellWeights:
@@ -331,10 +344,9 @@ class TestStackedCellWeights:
             p, lay, H = self._ring(gamma)
             amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters,
                           times)
-            rep = _localize(times, amps, 10, 15.0, periodic=True)
+            probs = _localize(times, amps, 10, 15.0, periodic=True)
             assert row[0] == gamma
-            np.testing.assert_allclose(row[1:], [rep.p_local, rep.p_left,
-                                                 rep.p_right], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(row[1:], probs, rtol=0, atol=1e-13)
         assert (rows[:, 3] == 0.0).all() and rows[:, 1].max() > 0.9
 
     def test_bad_inputs(self):

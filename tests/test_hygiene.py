@@ -1,7 +1,7 @@
 """Static checks of the package source: every import and every module-level
-name is used (a public one may instead be exported), no module imports
-another's private names, the public surface names each object once, and
-each config key is declared once."""
+name is used (a public one may instead be exported), every dataclass field
+is read, no module imports another's private names, the public surface
+names each object once, and each config key is declared once."""
 import ast
 from collections import Counter
 from dataclasses import fields
@@ -106,6 +106,29 @@ def test_no_unreferenced_private_names():
 def test_no_unreferenced_public_names():
     # so is a public one that the package neither reads nor exports
     assert _unreferenced_names(private=False) == []
+
+
+def _dataclass_fields(tree):
+    """(class, field) of every annotated field of a @dataclass class."""
+    def is_dataclass(dec):
+        return getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+    return [(node.name, item.target.id) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_dataclass, node.decorator_list))
+            for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads as an attribute, in the package or its tests,
+    # repeats what its caller already knows
+    paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    declared = [f for p, tree in trees.items() if p.parent == SRC
+                for f in _dataclass_fields(tree)]
+    assert declared  # the scan sees the package's dataclasses
+    assert [f"{cls}.{name}" for cls, name in declared if name not in read] == []
 
 
 def _private_package_imports(tree):

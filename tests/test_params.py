@@ -17,6 +17,7 @@ class TestLatticeParams:
     @pytest.mark.parametrize("kw", [
         dict(n_cells=1), dict(n_cells=2.5), dict(t1=0.0), dict(t1=-1.0),
         dict(t2=0.0), dict(gamma=-0.1), dict(boundary="twisted"),
+        dict(t1=True), dict(t2=np.True_), dict(gamma=False),
     ])
     def test_invalid(self, kw):
         base = dict(n_cells=4, t1=1.0, t2=1.0, gamma=1.0, boundary="periodic")
@@ -76,7 +77,8 @@ class TestEmitterLayout:
             EmitterLayout([1], 0.0)
 
     @pytest.mark.parametrize("g", [float("nan"), float("inf"), float("-inf"),
-                                   pytest.param(10 ** 400, id="10**400")])
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   True])
     def test_non_finite_g(self, g):
         with pytest.raises(ValueError, match="g must be finite"):
             EmitterLayout([1], g)

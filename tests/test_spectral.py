@@ -5,7 +5,7 @@ import pytest
 
 from nhbath import (LatticeParams, band_centroid, bloch_matrix, bloch_spectrum,
                     build_bare_hamiltonian, obc_spectrum, point_gap_winding)
-from oracles import dense_obc_eig, hausdorff, mp_obc_eigenvalues
+from oracles import dense_obc_eig, hausdorff, mp_obc_eigenvalues, sampled_winding
 
 # (t1, t2) of the open-chain checks: uniform (as integers, which the chain
 # must read as floats), t1 < t2 and t1 > t2
@@ -134,11 +134,9 @@ class TestDenseSpectrum:
 
 
 class TestPointGapWinding:
-    @pytest.mark.parametrize("n_points", [2, 4096])  # the fewest, the default
-    def test_nontrivial_loop(self, n_points):
+    def test_nontrivial_loop(self):
         p = LatticeParams(8, 1.0, 2.0, 1.0)
-        w = point_gap_winding(p, band_centroid(p, "upper"), n_points=n_points)
-        assert w == -1
+        assert point_gap_winding(p, band_centroid(p, "upper")) == -1
 
     def test_hermitian_spectrum_cannot_wind(self):
         p = LatticeParams(8, 1.0, 1.0, 0.0)
@@ -157,13 +155,31 @@ class TestPointGapWinding:
         p = LatticeParams(8, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             point_gap_winding(p, 1.0 + 0.0j)  # inside the real spectral band
+        # band edges (q = 0 and pi), where two roots meet on the circle
+        for e0 in (2.0, -2.0, 0.0):
+            with pytest.raises(ValueError, match="on the spectral curve"):
+                point_gap_winding(p, e0)
 
-    @pytest.mark.parametrize("n_points", [1, 2.5, 0, -3, True])
-    def test_n_points_must_be_an_integer_of_at_least_two(self, n_points):
-        # one step runs from q = 0 to q = 2 pi, the same point: winding 0
-        p = LatticeParams(8, 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
-            point_gap_winding(p, band_centroid(p, "upper"), n_points=n_points)
+    def test_matches_sampled_winding(self):
+        # random rings and reference energies, a third of them at the
+        # exceptional point gamma = 2 t1, where the root count is linear;
+        # an eigenvalue of a Bloch block at a random q lies on the curve
+        rng = np.random.default_rng(19)
+        seen = set()
+        for k in range(300):
+            t1, t2 = rng.uniform(0.2, 3.0, 2)
+            gamma = 2 * t1 if k % 3 == 0 else rng.uniform(0.0, 5.0)
+            p = LatticeParams(8, t1, t2, gamma)
+            e0 = complex(*rng.uniform(-4.0, 4.0, 2))
+            e0 -= 0.5j * gamma  # around the centre of the loops
+            w = sampled_winding(p, e0)
+            assert point_gap_winding(p, e0) == w, (t1, t2, gamma, e0)
+            seen.add(w)
+            for on_curve in np.linalg.eigvals(bloch_matrix(p, rng.uniform(0, 7))):
+                with pytest.raises(ValueError, match="on the spectral curve"):
+                    point_gap_winding(p, on_curve)
+        # |b| > |a|, so at most one root lies inside: the winding is 0 or -1
+        assert seen == {-1, 0}
 
 
 class TestBandCentroid:
