@@ -30,6 +30,16 @@ def _csv(header, columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
+def _reprs(values) -> list:
+    """`repr` of every float of `values`, in C order.  Each distinct value
+    is formatted once: values are told apart by their bit pattern, so -0.0
+    and 0.0 keep their own text."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(repr, distinct.view(float).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def _localization_csv(gammas, probs) -> str:
     """CSV of the (n_gamma, 3) `localization_report` arrays `probs`, one
     row (gamma, P_loc, P_L, P_R) per entry of `gammas`."""
@@ -103,9 +113,9 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
     entries = entries.ravel(order="C")
     if not np.isfinite(entries).all():  # JSON has no NaN or Infinity
         raise ValueError("the coupling matrix has a non-finite entry")
-    # each value formatted once, as json writes a float (float.__repr__)
-    re = list(map(repr, entries.real.tolist()))
-    im = list(map(repr, entries.imag.tolist()))
+    # as json writes a float (float.__repr__); the couplings are translation
+    # invariant, so few of the N^2 values are distinct
+    re, im = _reprs(entries.real), _reprs(entries.imag)
     payload = {
         "method": method,
         "boundary": cfg.boundary,

@@ -96,7 +96,7 @@ class TestEvolve:
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     def test_coarse_grid_takes_substeps(self, monkeypatch, boundary):
         # ||H||_1 dt = 40: every interval is split into substeps with
-        # ||A||_1 <= 1, each taken to the degree the a-priori bound asks for
+        # ||A||_1 <= 2, each taken to the degree the a-priori bound asks for
         p, lay, H = _setup(n=7, gamma=2.0, g=0.3, boundary=boundary, cell=7)
         psi0 = excited_emitter_state(p, lay)
         times = 40.0 / np.abs(H).sum(axis=0).max() * np.arange(6)
@@ -108,7 +108,7 @@ class TestEvolve:
 
         monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
         amps = evolve(H, psi0, lay.n_emitters, times)
-        assert len(xs) == 5 and all(0.95 < x <= 1.0 for x in xs)
+        assert len(xs) == 5 and all(1.9 < x <= 2.0 for x in xs)
         np.testing.assert_allclose(amps,
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)

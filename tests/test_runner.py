@@ -10,7 +10,7 @@ import nhbath.runner
 from nhbath import (emitter_populations, parse_config, photon_density,
                     run_experiment)
 from nhbath.cli import main
-from nhbath.runner import _csv
+from nhbath.runner import _csv, _reprs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +27,15 @@ class TestCsv:
         assert got == want
         assert got.splitlines()[4] == "s3,3.0,1e+16"
         assert got.splitlines()[1] == "s0,0.0,-0.0"
+
+
+class TestReprs:
+    @pytest.mark.parametrize("values", [
+        np.array([[0.5, -1.25, 0.5], [-1.25, 0.5, 3.0]]),
+        np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0]]),
+        np.array([5e-324, 1e16, 0.1 + 0.2, -1e-05, 5e-324, 0.3])])
+    def test_equals_repr_of_every_value(self, values):
+        assert _reprs(values) == list(map(repr, values.ravel().tolist()))
 
 
 def _oracle_rows(times, values, first):
@@ -98,6 +107,21 @@ def _return_matrix(monkeypatch, entries):
     return entries
 
 
+def _run_spied(monkeypatch, name, raw):
+    """Run the heff config `raw` and return the matrix that the runner's
+    `name` computed for it."""
+    compute, results = getattr(nhbath.runner, name), []
+
+    def compute_spy(*args, **kwargs):
+        results.append(compute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(nhbath.runner, name, compute_spy)
+    run_experiment(parse_config(json.dumps(raw)))
+    (entries,) = results
+    return entries
+
+
 class TestHeffFiles:
     @pytest.mark.parametrize("cells", [[2, 3, 5], [4]])
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -106,20 +130,39 @@ class TestHeffFiles:
         ("asymptotic", "heff_closed_form")])
     def test_matches_json_dumps_and_row_wise_oracle(self, tmp_path, monkeypatch,
                                                     method, name, boundary, cells):
-        compute, results = getattr(nhbath.runner, name), []
-
-        def compute_spy(*args, **kwargs):
-            results.append(compute(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(nhbath.runner, name, compute_spy)
         raw = _heff_raw(tmp_path, method, boundary, cells)
-        run_experiment(parse_config(json.dumps(raw)))
-        (entries,) = results
+        entries = _run_spied(monkeypatch, name, raw)
         assert entries.shape == (len(cells), len(cells))
         want_json, want_csv = _heff_oracles(entries, raw)
         assert (tmp_path / "out" / "heff.json").read_text() == want_json
         assert (tmp_path / "out" / "heff.csv").read_text() == want_csv
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("method, name", [
+        ("numeric", "heff_numeric"), ("finite", "heff_closed_form"),
+        ("asymptotic", "heff_closed_form")])
+    def test_every_cell_an_emitter(self, tmp_path, monkeypatch, method, name,
+                                   boundary):
+        # translation-invariant couplings: most of the 1600 values repeat
+        raw = {**_heff_raw(tmp_path, method, boundary, list(range(1, 41))),
+               "N": 40}
+        entries = _run_spied(monkeypatch, name, raw)
+        want_json, want_csv = _heff_oracles(entries, raw)
+        assert (tmp_path / "out" / "heff.json").read_text() == want_json
+        assert (tmp_path / "out" / "heff.csv").read_text() == want_csv
+
+    def test_signed_zeros_in_one_column(self, tmp_path, monkeypatch):
+        entries = _return_matrix(monkeypatch, [
+            [complex(-0.0, 1.0), complex(0.0, -0.0)],
+            [complex(0.0, 1.0), complex(-0.0, 0.0)]])
+        raw = _heff_raw(tmp_path, "numeric", "open", [2, 4])
+        run_experiment(parse_config(json.dumps(raw)))
+        want_json, want_csv = _heff_oracles(entries, raw)
+        got_csv = (tmp_path / "out" / "heff.csv").read_text()
+        assert (tmp_path / "out" / "heff.json").read_text() == want_json
+        assert got_csv == want_csv
+        assert got_csv.splitlines()[1:] == [
+            "2,2,-0.0,1.0", "2,4,0.0,-0.0", "4,2,0.0,1.0", "4,4,-0.0,0.0"]
 
     def test_shortest_round_trip_values(self, tmp_path, monkeypatch):
         entries = _return_matrix(monkeypatch, [
