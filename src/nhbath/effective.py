@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .lattice import build_bare_hamiltonian
 from .params import OPEN, EmitterLayout, LatticeParams, finite, require_positive
+from .spectral import bloch_matrix
 
 
 def interaction_range(gamma: float, j: float) -> float:
@@ -81,30 +83,38 @@ def greens_obc(params: LatticeParams, m: int, n: int) -> complex:
 
 
 def heff_numeric(params: LatticeParams, layout: EmitterLayout) -> np.ndarray:
-    """Effective coupling matrix from the dense lattice resolvent, shape
+    """Effective coupling matrix from the exact lattice resolvent, shape
     (n_emitters, n_emitters) in layout order: entry [i, j] is the coupling
     driving emitter i from emitter j (row = target, column = source),
     g^2 * <b_{cell_i}| (0 - H_field)^(-1) |b_{cell_j}>.
-    All emitter columns are solved with one factorization.  Columns whose
-    relative residual exceeds 1e-8 (all of them if the solve raises) are
-    re-solved as the minimum-norm least-squares resolvent.
+    Open chain: one banded LU of 0 - H (bandwidth 3 in the (a1, b1, ...)
+    order) for all columns; it is never singular (for gamma > 0 a null
+    vector would avoid the lossy cavities, and the a rows then zero it; at
+    gamma = 0, |det H| = t1^(2N)).  Ring: 0 - H is block circulant, so the
+    entry at cell distance d is the DFT over q = 2 pi k/N of the bb entry
+    of (0 - bloch_matrix(q))^(-1), exactly circulant.  With sin(pi) set to
+    exactly 0, the q = pi block is singular iff t1 == t2, and its
+    pseudo-inverse gives the minimum-norm resolvent (the DFT is unitary).
     """
     layout.validate_against(params)
-    H = build_bare_hamiltonian(params)
-    A = 0.0 - H.toarray()  # not -H, whose -0.0 zeros change the last bits
-    rows = params.b_index(np.array(layout.cells))
-    rhs = np.zeros((H.shape[0], layout.n_emitters), dtype=complex)
-    rhs[rows, np.arange(layout.n_emitters)] = 1.0
-    try:
-        x = np.linalg.solve(A, rhs)
-        resid = np.linalg.norm(A @ x - rhs, axis=0)
-        bad = ~(resid <= 1e-8 * np.linalg.norm(rhs, axis=0))
-    except np.linalg.LinAlgError:
-        x = np.empty_like(rhs)
-        bad = np.ones(layout.n_emitters, dtype=bool)
-    if bad.any():
-        x[:, bad] = np.linalg.lstsq(A, rhs[:, bad], rcond=None)[0]
-    return layout.g ** 2 * x[rows]
+    cells = np.array(layout.cells)
+    n = params.n_cells
+    if params.periodic:
+        m = -bloch_matrix(params, 2 * np.pi * np.arange(n) / n)
+        if n % 2 == 0:
+            m[n // 2, 0, 0], m[n // 2, 1, 1] = 0.0, 1j * params.gamma
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+        bb = np.linalg.pinv(m)[:, 1, 1]  # kept only where det == 0
+        np.divide(m[:, 0, 0], det, out=bb, where=det != 0)  # (m^-1)_bb
+        g_d = np.fft.fft(bb) / n
+        return layout.g ** 2 * g_d[np.subtract.outer(cells, cells) % n]
+    A = build_bare_hamiltonian(params).tocoo()
+    ab = np.zeros((7, params.n_modes), dtype=complex)
+    ab[3 + A.row - A.col, A.col] = -A.data
+    rows = params.b_index(cells)
+    rhs = np.zeros((params.n_modes, cells.size), dtype=complex)
+    rhs[rows, np.arange(cells.size)] = 1.0
+    return layout.g ** 2 * solve_banded((3, 3), ab, rhs)[rows]
 
 
 def heff_closed_form(params: LatticeParams, layout: EmitterLayout,
