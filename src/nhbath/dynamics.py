@@ -5,7 +5,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import block_diag, csr_array
+from scipy.sparse import csr_array, diags_array
 
 from .params import require_count, require_index, require_positive
 
@@ -21,20 +21,31 @@ def _taylor_degree(x: float) -> int:
     return m
 
 
-def _taylor_steps(H: csr_array, psi: np.ndarray, times: np.ndarray):
-    """Yield the solution of i d(psi)/dt = H psi at every sample time.
+def _taylor_steps(H: csr_array, shift, psi: np.ndarray, times: np.ndarray,
+                  diag: np.ndarray = None):
+    """Yield the solution of i d(psi)/dt = (H + diag + shift) psi at every
+    sample time, for one state `psi` (shape (dim,), scalar `shift`, no
+    `diag`) or for a block of states (dim, n_sys) whose column k evolves
+    under H + diag(diag[:, k]) + shift[k] I.  Where `diag` is given, H holds
+    no diagonal entry.
 
-    Each interval dt is one step exp(A) psi with A = -i H dt, taken as
-    s = max(1, ceil(||A||_1 / 2)) substeps of the degree-m Taylor
-    polynomial of exp(A/s), m = _taylor_degree(||A||_1 / s) (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  At x = ||A/s||_1 <= 2
-    the degree is at most 24, so a unit of ||A||_1 costs about 12 sparse
-    products, while the terms x^j/j! peak at 2 and the rounding of the
-    series stays small.  The truncation bound holds a
-    priori, so no step is checked after the fact.  ||H||_1 is computed
-    exactly, once.
+    The scalar part is exact: each interval dt ends with the factor
+    exp(-i shift dt).  The rest is one step exp(A) psi with A = -i B dt,
+    B = H + diag, taken as s = max(1, ceil(||A||_1 / 2)) substeps of the
+    degree-m Taylor polynomial of exp(A/s), m = _taylor_degree(||A||_1 / s)
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  ||B||_1 is
+    computed exactly, once: the largest column sum of any system.  With
+    `shift` each system's mean diagonal (their §3.1), B is the traceless
+    part, in which the loss -i gamma on the b sites is about -i gamma/2
+    there and +i gamma/2 on the a sites.  At x = ||A/s||_1 <= 2 the degree
+    is at most 24, so a unit of ||A||_1 costs about 12 products by B, while
+    the terms x^j/j! peak at 2 and the rounding of the series stays small.
+    The truncation bound holds a priori for any matrix, so no step is
+    checked after the fact.
     """
-    norm = float(abs(H).sum(axis=0).max())
+    cols = abs(H).sum(axis=0)
+    norm = float(cols.max() if diag is None
+                 else (cols[:, None] + abs(diag)).max())
     yield psi
     for dt in np.diff(times):
         s = max(1, math.ceil(norm * dt / 2))
@@ -43,9 +54,12 @@ def _taylor_steps(H: csr_array, psi: np.ndarray, times: np.ndarray):
         for _ in range(s):
             term, psi = psi, psi.copy()
             for j in range(1, m + 1):
-                term = H @ term
+                term, prev = H @ term, term
+                if diag is not None:
+                    term += diag * prev
                 term *= c / j
                 psi += term
+        psi *= np.exp(-1j * shift * dt)
         yield psi
 
 
@@ -94,11 +108,14 @@ def evolve(hamiltonian, initial, n_emitters: int,
 
     Times must be finite, start at 0 and increase; H and the state must be
     finite.  Every interval, uniform grid or not, is one bounded Taylor
-    step on H in CSR form (see `_taylor_steps`).
+    step on the CSR H - mu I, mu = trace(H)/dim, times the exact factor
+    exp(-i mu dt) (see `_taylor_steps`).
     """
     H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
+    mu = H.trace() / psi0.size
+    H = H - diags_array(np.full(psi0.size, mu), format="csr")
     amps = np.empty((times.size, psi0.size), dtype=complex)
-    for k, psi in enumerate(_taylor_steps(H, psi0, times)):
+    for k, psi in enumerate(_taylor_steps(H, mu, psi0, times)):
         amps[k] = psi
     return amps
 
@@ -107,22 +124,34 @@ def stacked_cell_weights(hamiltonians: Iterable, initial, n_emitters: int,
                          times: Sequence[float]) -> np.ndarray:
     """Photon weight per cell of every system, shape (n_steps, n_systems, N).
 
-    Propagates `initial` (as in `evolve`) under each Hamiltonian (all of one
-    dimension) as one block-diagonal CSR system with the kernel of `evolve`,
-    under the same checks, and keeps only the cell weights of each step,
-    not the amplitudes.
+    Propagates `initial` (as in `evolve`) under each Hamiltonian, under the
+    same checks, and keeps only the cell weights of each step, not the
+    amplitudes.  The Hamiltonians (all of one dimension) must agree off the
+    diagonal, as those of one lattice at several loss rates do: the states
+    are the columns of one (dim, n_systems) block, stepped by the kernel of
+    `evolve` with one shared CSR of the off-diagonal part and each system's
+    diagonal less its mean.
     """
-    blocks = []
+    off, diagonals = None, []
     for H in hamiltonians:
         H, psi0, times = _checked(H, initial, n_emitters, times)
-        blocks.append(H)
-    if not blocks:
+        d = H.diagonal()
+        H = H - diags_array(d, format="csr")
+        if off is None:
+            off = H
+        elif (H != off).nnz:
+            raise ValueError("the hamiltonians differ off the diagonal")
+        diagonals.append(d)
+    if off is None:
         raise ValueError("need at least one hamiltonian")
-    stack = block_diag(blocks, format="csr")
-    n_sys, ne = len(blocks), n_emitters
-    weights = np.empty((times.size, n_sys, (psi0.size - ne) // 2))
-    for k, psi in enumerate(_taylor_steps(stack, np.tile(psi0, n_sys), times)):
-        weights[k] = cell_weights(np.abs(psi.reshape(n_sys, -1)[:, ne:]) ** 2)
+    diag = np.column_stack(diagonals)
+    mu = diag.mean(axis=0)
+    diag -= mu
+    ne = n_emitters
+    weights = np.empty((times.size, mu.size, (psi0.size - ne) // 2))
+    block = np.repeat(psi0[:, None], mu.size, axis=1)
+    for k, psi in enumerate(_taylor_steps(off, mu, block, times, diag)):
+        weights[k] = cell_weights(np.abs(psi[ne:].T) ** 2)
     return weights
 
 

@@ -84,8 +84,10 @@ class LatticeParams:
 
     @property
     def uniform(self) -> bool:
-        """True when t1 == t2 (the single-hopping-rate model)."""
-        return abs(self.t1 - self.t2) <= 1e-12 * max(self.t1, self.t2)
+        """True when t1 == t2 exactly (the single-hopping-rate model): on
+        even rings the resolvent jumps there, so no t1 != t2 is close
+        enough to take the uniform model's closed forms."""
+        return self.t1 == self.t2
 
     def a_index(self, cell: int) -> int:
         """Photon-block index of the neutral cavity of `cell` (1-based)."""

@@ -67,11 +67,14 @@ def hausdorff(x, y):
 
 def expm_stepped(H, psi0, times):
     """States at every sample time, shape (n_steps, dim): psi0 stepped
-    interval by interval with scipy's dense expm(-i H dt) of a sparse H."""
+    interval by interval with scipy's dense expm(-i H dt) of a sparse H,
+    formed once for each distinct interval length dt."""
     H = H.toarray()
+    dts = np.diff(times)
+    steps = {dt: expm(-1j * H * dt) for dt in set(dts.tolist())}
     out = [np.asarray(psi0, dtype=complex)]
-    for dt in np.diff(times):
-        out.append(expm(-1j * H * dt) @ out[-1])
+    for dt in dts.tolist():
+        out.append(steps[dt] @ out[-1])
     return np.array(out)
 
 

@@ -182,9 +182,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "a371f96af3278aa82b2874927e836bae70f6477561fedc3c7dee56c48a883ab7"),
+         "a10e4589e55814fad9c4782b2bea7585fea91c3535c6c276240ada8053640b33"),
         ("sweep-gamma", "sweep.csv",
-         "fcca12f7eccf554e8d83f6820ca5a35687f7ecfb59966aea4f5d477989229656")])
+         "efeda59c34f0c7c48ab9746fb4a5f601eec5df02ac5b7fd780716e8595a063ca")])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
                                                          command, name, digest):
         rows = {}

@@ -29,6 +29,31 @@ def _localize(times, amps, *args, **kwargs):
                                *args, **kwargs)
 
 
+def _shifted_norm(H):
+    """||H - mu I||_1 with mu = trace(H)/dim, from the dense matrix."""
+    dense = H.toarray()
+    mu = np.trace(dense) / dense.shape[0]
+    return np.abs(dense - mu * np.eye(dense.shape[0])).sum(axis=0).max()
+
+
+def _substep_xs(norm, times):
+    """||A/s||_1 of every interval's substeps at ||B||_1 = `norm`."""
+    a = norm * np.diff(times)
+    return a / np.maximum(1, np.ceil(a / 2))
+
+
+def _spy_degrees(monkeypatch):
+    """The list that collects the x of every `_taylor_degree` call."""
+    degree, xs = nhbath.dynamics._taylor_degree, []
+
+    def degree_spy(x):
+        xs.append(x)
+        return degree(x)
+
+    monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
+    return xs
+
+
 def _setup(n=8, gamma=1.0, g=0.1, boundary="open", cell=3):
     p = LatticeParams(n, 1.0, 1.0, gamma, boundary)
     lay = EmitterLayout([cell], g)
@@ -95,26 +120,38 @@ class TestEvolve:
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     def test_coarse_grid_takes_substeps(self, monkeypatch, boundary):
-        # ||H||_1 dt = 40: every interval is split into substeps with
-        # ||A||_1 <= 2, each taken to the degree the a-priori bound asks for
+        # ||H||_1 dt = 40 (||H - mu I||_1 dt ~ 33): every interval is split
+        # into substeps with ||A||_1 <= 2, each taken to the degree the
+        # a-priori bound asks for
         p, lay, H = _setup(n=7, gamma=2.0, g=0.3, boundary=boundary, cell=7)
         psi0 = excited_emitter_state(p, lay)
         times = 40.0 / np.abs(H).sum(axis=0).max() * np.arange(6)
-        degree, xs = nhbath.dynamics._taylor_degree, []
-
-        def degree_spy(x):
-            xs.append(x)
-            return degree(x)
-
-        monkeypatch.setattr(nhbath.dynamics, "_taylor_degree", degree_spy)
+        xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
         assert len(xs) == 5 and all(1.9 < x <= 2.0 for x in xs)
         np.testing.assert_allclose(amps,
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
+    def test_long_non_uniform_chain_matches_dense_expm_stepping(
+            self, monkeypatch):
+        # t1 != t2 above the exceptional point on the N = 200 open chain, on
+        # a grid whose intervals each take several substeps
+        p = LatticeParams(200, 1.3, 0.8, 3.0, "open")
+        lay = EmitterLayout([100], 0.2)
+        H = build_total_hamiltonian(p, lay)
+        psi0 = excited_emitter_state(p, lay)
+        times = np.linspace(0, 10, 11)
+        xs = _spy_degrees(monkeypatch)
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        norm = _shifted_norm(H)
+        assert norm * times[1] > 4  # >= 3 substeps
+        np.testing.assert_allclose(xs, _substep_xs(norm, times), rtol=1e-12)
+        np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
+                                   rtol=0, atol=1e-13)
+
     def test_one_full_substep_is_exact_to_rounding(self):
-        # ||H||_1 dt = 1 exactly: one substep at x = 1, degree 18, whose
+        # ||H - mu I||_1 dt = 1.014: one substep at x = 1.014, degree 18, whose
         # truncation (~1/19!) is far below rounding; two degrees fewer
         # would leave ~1/17! = 2.8e-15
         lam = np.array([1.0, -1.0, -0.5j])
@@ -349,6 +386,33 @@ class TestStackedCellWeights:
             np.testing.assert_allclose(row[1:], probs, rtol=0, atol=1e-13)
         assert (rows[:, 3] == 0.0).all() and rows[:, 1].max() > 0.9
 
+    def test_one_system_matches_evolve(self):
+        p, lay, H = self._ring(2.0, cell=4)
+        psi0 = excited_emitter_state(p, lay)
+        times = np.linspace(0, 20, 201)
+        got = stacked_cell_weights([H], psi0, lay.n_emitters, times)
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        want = cell_weights(photon_density(amps, lay.n_emitters))
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-15)
+
+    def test_non_uniform_ring_matches_dense_expm_stepping(self, monkeypatch):
+        # t1 != t2 on the N = 100 ring, below, at and above the exceptional
+        # point gamma = 2 t1; the degree follows the largest shifted norm
+        params = [LatticeParams(100, 1.3, 0.8, gamma, "periodic")
+                  for gamma in (0.5, 2.6, 3.0)]
+        lay = EmitterLayout([37], 0.2)
+        psi0 = excited_emitter_state(params[0], lay)
+        times = np.linspace(0, 10, 41)
+        hamiltonians = [build_total_hamiltonian(p, lay) for p in params]
+        xs = _spy_degrees(monkeypatch)
+        got = stacked_cell_weights(hamiltonians, psi0, lay.n_emitters, times)
+        norm = max(map(_shifted_norm, hamiltonians))
+        np.testing.assert_allclose(xs, _substep_xs(norm, times), rtol=1e-12)
+        for k, H in enumerate(hamiltonians):
+            want = cell_weights(photon_density(expm_stepped(H, psi0, times),
+                                               lay.n_emitters))
+            np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-13)
+
     def test_bad_inputs(self):
         p, lay, H = self._ring(1.0)
         psi0 = excited_emitter_state(p, lay)
@@ -359,6 +423,11 @@ class TestStackedCellWeights:
             stacked_cell_weights([H, H[:-2, :-2]], psi0, lay.n_emitters, times)
         with pytest.raises(ValueError, match="times must be strictly"):
             stacked_cell_weights([H], psi0, lay.n_emitters, [0.0, 1.0, 1.0])
+        # one lattice at another t2: the systems differ off the diagonal
+        other = build_total_hamiltonian(LatticeParams(10, 1.0, 1.5, 1.0,
+                                                      "periodic"), lay)
+        with pytest.raises(ValueError, match="differ off the diagonal"):
+            stacked_cell_weights([H, other], psi0, lay.n_emitters, times)
 
 
 def _directional_populations(params, layout, times):

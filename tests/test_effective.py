@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import mpmath as mp
 import numpy as np
@@ -8,22 +9,26 @@ from scipy.sparse.linalg import splu
 from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
                     greens_obc, heff_closed_form, heff_numeric,
                     interaction_range)
+from nhbath.cli import main
+from nhbath.effective import closed_form_problems
 
 
-def dense_resolvent_bb(params, m, n):
-    """Brute-force oracle: bb entry of (0 - H)^(-1) from a dense solve, or
-    the minimum-norm lstsq value on the singular even uniform rings.  Fails
-    unless the column it returns solves the system to 1e-12, so use it only
-    on models where dense LU is stable."""
+def dense_resolvent_bb(params):
+    """Brute-force oracle: the bb block of (0 - H)^(-1), rows = target cells
+    and columns = source cells, from one dense solve with every b column, or
+    the minimum-norm lstsq values on the singular even uniform rings.  Fails
+    unless every column it returns solves the system to 1e-12, so use it
+    only on models where dense LU is stable."""
     A = 0.0 - build_bare_hamiltonian(params).toarray()
-    rhs = np.zeros(A.shape[0], dtype=complex)
-    rhs[params.b_index(n)] = 1.0
+    b = params.b_index(np.arange(1, params.n_cells + 1))
+    rhs = np.zeros((A.shape[0], b.size), dtype=complex)
+    rhs[b, np.arange(b.size)] = 1.0
     if params.periodic and params.n_cells % 2 == 0 and params.t1 == params.t2:
         x = np.linalg.lstsq(A, rhs, rcond=None)[0]
     else:
         x = np.linalg.solve(A, rhs)
-    assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    return x[params.b_index(m)]
+    assert (np.linalg.norm(A @ x - rhs, axis=0) <= 1e-12).all()
+    return x[b]
 
 
 def mp_resolvent_bb(params, digits=80, z="1e-40"):
@@ -84,11 +89,9 @@ class TestGreensPbc:
         LatticeParams(15, 1.0, 1.0, 4.0),
     ])
     def test_full_block_vs_dense_oracle(self, params):
-        h = finite_bb(params)
-        for m in range(1, params.n_cells + 1):
-            for n in range(1, params.n_cells + 1):
-                want = dense_resolvent_bb(params, m, n)
-                assert h[m - 1, n - 1] == pytest.approx(want, abs=1e-13)
+        np.testing.assert_allclose(finite_bb(params),
+                                   dense_resolvent_bb(params),
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("params", [
         LatticeParams(9, 1.0, 1.0, 2.0),
@@ -109,10 +112,9 @@ class TestGreensPbc:
         # finite limit, the minimum-norm (lstsq) value
         for n_cells, gamma in [(10, 1.0), (8, 0.5), (12, 4.0), (2, 1.0)]:
             p = LatticeParams(n_cells, 1.0, 1.0, gamma)
-            h = finite_bb(p)
-            for m in range(1, n_cells + 1):
-                want = dense_resolvent_bb(p, m, 1)
-                assert h[m - 1, 0] == pytest.approx(want, abs=1e-13)
+            np.testing.assert_allclose(finite_bb(p)[:, 0],
+                                       dense_resolvent_bb(p)[:, 0],
+                                       rtol=0, atol=1e-13)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError, match="gamma > 0"):
@@ -126,11 +128,11 @@ class TestGreensObc:
     ])
     def test_vs_dense_oracle(self, n_cells, gamma):
         p = LatticeParams(n_cells, 1.0, 1.0, gamma, "open")
+        want = dense_resolvent_bb(p)
         for m in range(1, n_cells + 1):
             for n in range(1, n_cells + 1):
-                got = greens_obc(p, m, n)
-                want = dense_resolvent_bb(p, m, n)
-                assert got == pytest.approx(want, abs=1e-12)
+                assert greens_obc(p, m, n) == pytest.approx(want[m - 1, n - 1],
+                                                            abs=1e-12)
 
     def test_generalized_hoppings(self):
         # the closed form covers the uniform model only
@@ -209,22 +211,20 @@ class TestHeffNumeric:
         p = LatticeParams(9, 1.0, 1.0, 1.0)
         lay = EmitterLayout([2, 5, 8], 0.1)
         h = heff_numeric(p, lay)
-        for i, ci in enumerate(lay.cells):
-            for j, cj in enumerate(lay.cells):
-                want = 0.01 * dense_resolvent_bb(p, ci, cj)
-                assert h[i, j] == pytest.approx(want, abs=1e-14)
+        idx = np.array(lay.cells) - 1
+        want = 0.01 * dense_resolvent_bb(p)[np.ix_(idx, idx)]
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-14)
         # scattered, unsorted cells on both boundaries, both methods: row =
         # target, column = source, so a transposed or mis-gathered index fails
         lay = EmitterLayout([7, 2, 30, 15], 0.1)
         for p in (LatticeParams(41, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0, "open")):
+            idx = np.array(lay.cells) - 1
+            want = 0.01 * dense_resolvent_bb(p)[np.ix_(idx, idx)]
             for h in (heff_numeric(p, lay),
                       heff_closed_form(p, lay, form="finite")):
-                for i, ci in enumerate(lay.cells):
-                    for j, cj in enumerate(lay.cells):
-                        want = 0.01 * dense_resolvent_bb(p, ci, cj)
-                        assert h[i, j] == pytest.approx(want, abs=1e-13)
+                np.testing.assert_allclose(h, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("params", [
         LatticeParams(150, 1.0, 1.5, 0.5),
@@ -371,6 +371,26 @@ class TestHeffClosedForm:
         p = LatticeParams(9, 1.3, 0.8, 1.0)
         with pytest.raises(ValueError, match="t1 == t2"):
             heff_closed_form(p, EmitterLayout([1], 0.05), form="asymptotic")
+
+    def test_near_uniform_ring_is_rejected(self, tmp_path):
+        # on the even ring the bb resolvent jumps at t1 == t2 (the q = pi
+        # block), so the closed form is off by 29% of the largest entry at
+        # t2 = t1 + 5e-13
+        p = LatticeParams(10, 1.0, 1.0 + 5e-13, 1.0, "periodic")
+        cells = list(range(1, 11))
+        assert not p.uniform and LatticeParams(10, 2.0, 2.0, 1.0).uniform
+        for form in ("finite", "asymptotic"):
+            assert closed_form_problems(p, form) != []
+            with pytest.raises(ValueError, match="t1 == t2"):
+                heff_closed_form(p, EmitterLayout(cells, 0.05), form=form)
+        raw = {"experiment": "heff", "N": 10, "t1": 1.0, "t2": 1.0 + 5e-13,
+               "gamma": 1.0, "boundary": "periodic", "g": 0.05,
+               "cells": cells, "heff_method": "finite",
+               "output_dir": str(tmp_path / "out")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["heff", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_form_is_required_and_explicit(self):
         p = LatticeParams(9, 1.0, 1.0, 1.0)
