@@ -217,10 +217,10 @@ class TestHeffNumeric:
         # scattered, unsorted cells on both boundaries, both methods: row =
         # target, column = source, so a transposed or mis-gathered index fails
         lay = EmitterLayout([7, 2, 30, 15], 0.1)
+        idx = np.array(lay.cells) - 1
         for p in (LatticeParams(41, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0),
                   LatticeParams(40, 1.0, 1.0, 1.0, "open")):
-            idx = np.array(lay.cells) - 1
             want = 0.01 * dense_resolvent_bb(p)[np.ix_(idx, idx)]
             for h in (heff_numeric(p, lay),
                       heff_closed_form(p, lay, form="finite")):
