@@ -182,7 +182,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "a10e4589e55814fad9c4782b2bea7585fea91c3535c6c276240ada8053640b33"),
+         "b98f312960fd0cb2cf91531beb31e215d58ba9620f7bc1b748a102717cb98131"),
         ("sweep-gamma", "sweep.csv",
          "efeda59c34f0c7c48ab9746fb4a5f601eec5df02ac5b7fd780716e8595a063ca")])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,

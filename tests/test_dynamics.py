@@ -118,34 +118,26 @@ class TestEvolve:
                                    expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("boundary", ["periodic", "open"])
-    def test_coarse_grid_takes_substeps(self, monkeypatch, boundary):
-        # ||H||_1 dt = 40 (||H - mu I||_1 dt ~ 33): every interval is split
-        # into substeps with ||A||_1 <= 2, each taken to the degree the
-        # a-priori bound asks for
-        p, lay, H = _setup(n=7, gamma=2.0, g=0.3, boundary=boundary, cell=7)
-        psi0 = excited_emitter_state(p, lay)
-        times = 40.0 / np.abs(H).sum(axis=0).max() * np.arange(6)
-        xs = _spy_degrees(monkeypatch)
-        amps = evolve(H, psi0, lay.n_emitters, times)
-        assert len(xs) == 5 and all(1.9 < x <= 2.0 for x in xs)
-        np.testing.assert_allclose(amps,
-                                   expm_stepped(H, psi0, times),
-                                   rtol=0, atol=1e-13)
-
-    def test_long_non_uniform_chain_matches_dense_expm_stepping(
-            self, monkeypatch):
-        # t1 != t2 above the exceptional point on the N = 200 open chain, on
-        # a grid whose intervals each take several substeps
-        p = LatticeParams(200, 1.3, 0.8, 3.0, "open")
-        lay = EmitterLayout([100], 0.2)
+    @pytest.mark.parametrize(
+        "boundary, n, t1, t2, gamma, cell, dt, n_steps",
+        [("periodic", 7, 1.0, 1.0, 2.0, 7, 9.0, 5),
+         ("open", 7, 1.0, 1.0, 2.0, 7, 9.0, 5),
+         # t1 != t2 above the exceptional point on the N = 200 open chain
+         ("open", 200, 1.3, 0.8, 3.0, 100, 1.0, 10)],
+        ids=["periodic", "open", "long-open-chain"])
+    def test_coarse_grid_takes_substeps(self, monkeypatch, boundary, n, t1, t2,
+                                        gamma, cell, dt, n_steps):
+        # ||H - mu I||_1 dt > 2: every interval is split into substeps with
+        # ||A||_1 <= 2, each taken to the degree the a-priori bound asks for
+        p = LatticeParams(n, t1, t2, gamma, boundary)
+        lay = EmitterLayout([cell], 0.3)
         H = build_total_hamiltonian(p, lay)
         psi0 = excited_emitter_state(p, lay)
-        times = np.linspace(0, 10, 11)
+        times = dt * np.arange(n_steps + 1)
         xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
         norm = _shifted_norm(H)
-        assert norm * times[1] > 4  # >= 3 substeps
+        assert norm * dt > 2
         np.testing.assert_allclose(xs, _substep_xs(norm, times), rtol=1e-12)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
