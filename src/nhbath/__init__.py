@@ -12,14 +12,14 @@ from .params import (LatticeParams, EmitterLayout, excited_emitter_state,
                      weak_coupling_warnings)
 from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
                       intracell_unitary)
-from .spectral import (SpectrumResult, bloch_matrix, bloch_spectrum,
-                       obc_spectrum, band_centroid, point_gap_winding)
+from .spectral import (bloch_matrix, bloch_spectrum, obc_spectrum,
+                       obc_defectivity, band_centroid, point_gap_winding)
 from .dynamics import (evolve, stacked_cell_weights, emitter_populations,
                        photon_density, cell_weights, localization_report,
                        fit_decay_rate)
 from .effective import (greens_obc, heff_numeric, heff_closed_form,
                         interaction_range)
-from .dressed import (DressedState, bulk_dressed_state, edge_dressed_state,
+from .dressed import (dressed_energy, bulk_dressed_state, edge_dressed_state,
                       verify_eigenstate, coupling_from_dressed)
 from .config import ExperimentConfig, ConfigError, parse_config, serialize_config
 from .runner import run_experiment
@@ -29,13 +29,13 @@ __all__ = [
     "LatticeParams", "EmitterLayout", "excited_emitter_state",
     "weak_coupling_warnings",
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
-    "SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
+    "bloch_matrix", "bloch_spectrum", "obc_spectrum", "obc_defectivity",
     "band_centroid", "point_gap_winding",
     "evolve", "stacked_cell_weights",
     "emitter_populations", "photon_density", "cell_weights",
     "localization_report", "fit_decay_rate",
     "greens_obc", "heff_numeric", "heff_closed_form", "interaction_range",
-    "DressedState", "bulk_dressed_state", "edge_dressed_state",
+    "dressed_energy", "bulk_dressed_state", "edge_dressed_state",
     "verify_eigenstate", "coupling_from_dressed",
     "ExperimentConfig", "ConfigError", "parse_config", "serialize_config",
     "run_experiment",

@@ -2,27 +2,10 @@
 gamma = 2J, and the probe couplings they mediate."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import rotate_cells
 from .params import LatticeParams, require_index, require_positive
-
-
-@dataclass
-class DressedState:
-    """Emitter dressed by a photonic cloud, quasi-stationary to order g^2.
-
-    `photon_amps` is the cloud in the mapped picture (alpha1, beta1, alpha2,
-    ...), relative to a unit emitter amplitude; `energy` is the complex
-    quasi-eigenvalue -i g^2/(4J).
-    """
-
-    photon_amps: np.ndarray
-    energy: complex
-    source_cell: int
-    g: float
 
 
 def dressed_state_problems(params: LatticeParams, kind: str, cell: int) -> list:
@@ -46,9 +29,17 @@ def dressed_state_problems(params: LatticeParams, kind: str, cell: int) -> list:
     return problems
 
 
+def dressed_energy(params: LatticeParams, g: float) -> complex:
+    """Complex quasi-eigenvalue -i g^2/(4J) of the bulk and edge dressed
+    states: the emitter amplitude decays at Gamma = g^2/(4J)."""
+    return -1j * g ** 2 / (4 * params.t1)
+
+
 def bulk_dressed_state(params: LatticeParams, source_cell: int,
-                       g: float) -> DressedState:
-    """Emitter in `source_cell` dressed by its two-cell photonic cloud.
+                       g: float) -> np.ndarray:
+    """Photonic cloud dressing the emitter in `source_cell`, in the mapped
+    picture (alpha1, beta1, alpha2, ...) relative to a unit emitter
+    amplitude; its energy is `dressed_energy`.
 
     The cloud occupies beta of the source cell and alpha of the next cell,
     each with amplitude g/(sqrt(2) gamma) relative to the emitter.  On the
@@ -64,13 +55,14 @@ def bulk_dressed_state(params: LatticeParams, source_cell: int,
     nxt = source_cell % params.n_cells + 1
     amps[params.b_index(source_cell)] = -1j * g / (np.sqrt(2) * gamma)
     amps[params.a_index(nxt)] = -g / (np.sqrt(2) * gamma)
-    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), source_cell, g)
+    return amps
 
 
-def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
-    """Dressed state of an emitter in the last cell of the open chain.
+def edge_dressed_state(params: LatticeParams, g: float) -> np.ndarray:
+    """Photonic cloud dressing an emitter in the last cell of the open
+    chain, laid out as `bulk_dressed_state`'s.
 
-    Its photonic cloud extends over the whole chain with staggered-sign
+    The cloud extends over the whole chain with staggered-sign
     amplitudes g/(sqrt(2) gamma): cell n carries (-1)^(N+n) times
     (-1, -i) on (alpha, beta), doubled on alpha of cell 1 and on beta of
     cell N.
@@ -86,11 +78,13 @@ def edge_dressed_state(params: LatticeParams, g: float) -> DressedState:
     amps[1::2] = -1j * c * ph  # beta of cells 1..N
     amps[0] *= 2
     amps[-1] *= 2
-    return DressedState(amps, -1j * g ** 2 / (4 * params.t1), N, g)
+    return amps
 
 
-def verify_eigenstate(hamiltonian, dressed: DressedState) -> float:
-    """Residual ||H v - E v|| / ||v|| of a dressed state against the full
+def verify_eigenstate(hamiltonian, photon_amps: np.ndarray,
+                      energy: complex) -> float:
+    """Residual ||H v - E v|| / ||v|| of a dressed state, a unit emitter
+    amplitude with the cloud `photon_amps` at `energy`, against the full
     single-emitter Hamiltonian (`build_total_hamiltonian`, sparse or dense)
     in the original picture, emitter first; the cloud is rotated back by
     `rotate_cells`, which is unitary, so the residual is that of the mapped
@@ -98,23 +92,24 @@ def verify_eigenstate(hamiltonian, dressed: DressedState) -> float:
 
     Scales as g^3 for a correct dressed state, g^1 for a wrong ansatz.
     """
-    v = np.r_[1.0, rotate_cells(dressed.photon_amps, to_mapped=False)]
+    v = np.r_[1.0, rotate_cells(photon_amps, to_mapped=False)]
     if hamiltonian.shape[0] != v.size:
         raise ValueError("hamiltonian dimension does not match the dressed state")
-    r = hamiltonian @ v - dressed.energy * v
+    r = hamiltonian @ v - energy * v
     return float(np.linalg.norm(r) / np.linalg.norm(v))
 
 
-def coupling_from_dressed(dressed: DressedState, probe_cell: int) -> complex:
-    """Coupling a weak probe emitter in `probe_cell` picks up from the
-    dressed emitter: the probe's coupling rate (the dressed emitter's g)
-    times the cloud amplitude on the probe's lossy cavity in the original
-    picture.
+def coupling_from_dressed(photon_amps: np.ndarray, g: float,
+                          probe_cell: int) -> complex:
+    """Coupling a weak probe emitter in `probe_cell` picks up from an
+    emitter dressed by the cloud `photon_amps`: the probe's coupling rate
+    (the dressed emitter's g) times the cloud amplitude on the probe's lossy
+    cavity in the original picture.
 
     Reproduces the directional couplings: +i Gamma one cell to the right of
     a bulk source (and on cell 1 for the edge state via the boundary),
     -i Gamma back-action on the source cell, zero elsewhere.
     """
-    require_index("probe_cell", probe_cell, dressed.photon_amps.size // 2)
-    b = rotate_cells(dressed.photon_amps, to_mapped=False)[1::2]
-    return dressed.g * complex(b[probe_cell - 1])
+    require_index("probe_cell", probe_cell, photon_amps.size // 2)
+    b = rotate_cells(photon_amps, to_mapped=False)[1::2]
+    return g * complex(b[probe_cell - 1])

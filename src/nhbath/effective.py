@@ -104,8 +104,10 @@ def heff_numeric(params: LatticeParams, layout: EmitterLayout) -> np.ndarray:
         if n % 2 == 0:
             m[n // 2, 0, 0], m[n // 2, 1, 1] = 0.0, 1j * params.gamma
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
-        bb = np.linalg.pinv(m)[:, 1, 1]  # kept only where det == 0
-        np.divide(m[:, 0, 0], det, out=bb, where=det != 0)  # (m^-1)_bb
+        singular = det == 0
+        bb = np.empty(n, dtype=complex)
+        bb[singular] = np.linalg.pinv(m[singular])[:, 1, 1]
+        np.divide(m[:, 0, 0], det, out=bb, where=~singular)  # (m^-1)_bb
         g_d = np.fft.fft(bb) / n
         return layout.g ** 2 * g_d[np.subtract.outer(cells, cells) % n]
     A = build_bare_hamiltonian(params).tocoo()

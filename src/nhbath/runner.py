@@ -59,14 +59,12 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def _spectrum_files(cfg: ExperimentConfig) -> dict:
     if cfg.lattice.periodic:
-        res = bloch_spectrum(cfg.lattice)
-        evs, label = res.eigenvalues, res.q_values
+        evs, label = bloch_spectrum(cfg.lattice)
     else:
-        res = obc_spectrum(cfg.lattice)
+        evs = obc_spectrum(cfg.lattice)
         # by real part, ties by imaginary part: above the exceptional point
         # eigenvalues pair up with equal real parts
-        evs = res.eigenvalues[np.lexsort((res.eigenvalues.imag,
-                                          res.eigenvalues.real))]
+        evs = evs[np.lexsort((evs.imag, evs.real))]
         label = np.arange(evs.size)
     return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"),
                                  (evs.real, evs.imag, [cfg.boundary] * evs.size,
@@ -140,10 +138,9 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
 
 def _dressed_files(cfg: ExperimentConfig) -> dict:
     if cfg.dressed_kind == "bulk":
-        ds = bulk_dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
+        amps = bulk_dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
     else:
-        ds = edge_dressed_state(cfg.lattice, cfg.g)
-    amps = ds.photon_amps  # alpha1, beta1, alpha2, ... (mapped picture)
+        amps = edge_dressed_state(cfg.lattice, cfg.g)
     labels = [f"{label}{cell}" for cell in range(1, cfg.N + 1)
               for label in ("alpha", "beta")]
     return {"dressed.csv": _csv(

@@ -1,19 +1,18 @@
 """Band structure, boundary spectra, defectivity and point-gap topology."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 # re-exported: the benchmark's tracer (perfbench/tracing.py) wraps this name
 # here, although open-chain spectra no longer assemble the dense Hamiltonian
 from .lattice import build_bare_hamiltonian
-from .params import LatticeParams, require_count
+from .params import LatticeParams
 
-__all__ = ["SpectrumResult", "bloch_matrix", "bloch_spectrum", "obc_spectrum",
+__all__ = ["bloch_matrix", "bloch_spectrum", "obc_spectrum", "obc_defectivity",
            "band_centroid", "point_gap_winding", "build_bare_hamiltonian"]
+
+_CENTROID_POINTS = 512  # q samples of the zone in `band_centroid`
 
 
 def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
@@ -34,46 +33,17 @@ def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
     return m
 
 
-@dataclass
-class SpectrumResult:
-    """Complex eigenvalues of the array, with non-normality diagnostics.
-
-    `defectivity` drops to 0 where the spectrum becomes defective.  For
-    periodic spectra assembled from Bloch blocks it is the worst reciprocal
-    condition number (smallest over largest singular value) of a block's
-    eigenvector matrix, and `q_values` holds the quasimomentum of each
-    eigenvalue.  For the open chain it is 1/cond(S) =
-    |(t1 - gamma/2)/(t1 + gamma/2)|^(N/2), where S is the diagonal
-    similarity of the imaginary gauge (see `obc_spectrum`): exactly 0 at the
-    exceptional point gamma = 2*t1 and 1 without loss.
-    """
-
-    eigenvalues: np.ndarray
-    defectivity: float
-    q_values: Optional[np.ndarray] = None
-
-
-def _defectivity(vectors: np.ndarray) -> float:
-    """Worst reciprocal condition number over a stack of eigenvector matrices."""
-    s = np.linalg.svd(vectors, compute_uv=False)
-    return float(np.min(s[..., -1] / s[..., 0]))
-
-
-def bloch_spectrum(params: LatticeParams) -> SpectrumResult:
-    """All 2N eigenvalues of the periodic array from its N Bloch blocks."""
+def bloch_spectrum(params: LatticeParams) -> tuple:
+    """All 2N eigenvalues of the periodic array from its N Bloch blocks, and
+    the quasimomentum q of each: (eigenvalues, q_values)."""
     if not params.periodic:
         raise ValueError("bloch_spectrum requires periodic boundary conditions")
     n = params.n_cells
     q = 2 * np.pi * np.arange(n) / n
-    bm = bloch_matrix(params, q)
-    # eigenvalues from eigvals, vectors from eig: LAPACK takes another path
-    # when it also computes vectors, and spectrum.csv writes the eigenvalues
-    _, vecs = np.linalg.eig(bm)
-    return SpectrumResult(np.linalg.eigvals(bm).ravel(), _defectivity(vecs),
-                          q_values=np.repeat(q, 2))
+    return np.linalg.eigvals(bloch_matrix(params, q)).ravel(), np.repeat(q, 2)
 
 
-def obc_spectrum(params: LatticeParams) -> SpectrumResult:
+def obc_spectrum(params: LatticeParams) -> np.ndarray:
     """Spectrum of the finite open chain from its imaginary-gauge chain.
 
     Rotated cell by cell into the mapped picture (`lattice.rotate_cells`),
@@ -100,24 +70,36 @@ def obc_spectrum(params: LatticeParams) -> SpectrumResult:
         lower = off.copy()
         lower[0::2] *= -1
         evs = np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1))
-    defect = abs((t1 - gamma / 2) / (t1 + gamma / 2)) ** (n / 2)
-    return SpectrumResult(evs - 0.5j * gamma, defect)
+    return evs - 0.5j * gamma
 
 
-def band_centroid(params: LatticeParams, band: str = "upper",
-                  n_points: int = 512) -> complex:
-    """Mean of one eigenvalue branch over the Brillouin zone.
+def obc_defectivity(params: LatticeParams) -> float:
+    """Non-normality of the open chain: 1/cond(S) =
+    |(t1 - gamma/2)/(t1 + gamma/2)|^(N/2), where S is the diagonal
+    similarity of the imaginary gauge (see `obc_spectrum`).  It drops to
+    exactly 0 at the exceptional point gamma = 2*t1, where the spectrum
+    becomes defective, and is 1 without loss.
+    """
+    if params.periodic:
+        raise ValueError("obc_defectivity requires open boundary conditions")
+    t1, gamma = params.t1, params.gamma
+    return abs((t1 - gamma / 2) / (t1 + gamma / 2)) ** (params.n_cells / 2)
+
+
+def band_centroid(params: LatticeParams, band: str = "upper") -> complex:
+    """Mean of one eigenvalue branch over `_CENTROID_POINTS` evenly spaced q
+    of the Brillouin zone.
 
     Branches are sorted by real part at each q; band is "upper" (larger real
     part) or "lower".  Useful as a reference energy inside one spectral loop.
     """
     if band not in ("upper", "lower"):
         raise ValueError("band must be 'upper' or 'lower'")
-    require_count("n_points", n_points, 1)
     pick = -1 if band == "upper" else 0
-    qs = 2 * np.pi * np.arange(n_points) / n_points
+    qs = 2 * np.pi * np.arange(_CENTROID_POINTS) / _CENTROID_POINTS
     ev = np.linalg.eigvals(bloch_matrix(params, qs))
-    branch = ev[np.arange(n_points), np.argsort(ev.real, axis=1)[:, pick]]
+    branch = ev[np.arange(_CENTROID_POINTS),
+                np.argsort(ev.real, axis=1)[:, pick]]
     return complex(branch.mean())
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from nhbath import (EmitterLayout, LatticeParams, band_centroid,
                     build_total_hamiltonian, bulk_dressed_state, cell_weights,
-                    edge_dressed_state, emitter_populations, evolve,
-                    excited_emitter_state, fit_decay_rate, heff_closed_form,
-                    heff_numeric, interaction_range, localization_report,
-                    obc_spectrum, photon_density, point_gap_winding,
-                    verify_eigenstate)
+                    dressed_energy, edge_dressed_state, emitter_populations,
+                    evolve, excited_emitter_state, fit_decay_rate,
+                    heff_closed_form, heff_numeric, interaction_range,
+                    localization_report, obc_defectivity, photon_density,
+                    point_gap_winding, verify_eigenstate)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -135,11 +135,11 @@ def test_criterion_07_dressed_state_residual_scaling():
         res = []
         for g in (0.05, 0.025):
             if kind == "bulk":
-                ds = bulk_dressed_state(p, 4, g)
+                cell, amps = 4, bulk_dressed_state(p, 4, g)
             else:
-                ds = edge_dressed_state(p, g)
-            H = build_total_hamiltonian(p, EmitterLayout([ds.source_cell], g))
-            res.append(verify_eigenstate(H, ds))
+                cell, amps = p.n_cells, edge_dressed_state(p, g)
+            H = build_total_hamiltonian(p, EmitterLayout([cell], g))
+            res.append(verify_eigenstate(H, amps, dressed_energy(p, g)))
         ratios.append(res[0] / res[1])
     ok = all(abs(r - 8.0) <= 0.15 * 8.0 for r in ratios)
     _report("criterion 7 (dressed residual scaling)", ok,
@@ -172,7 +172,7 @@ def test_criterion_09_spectral_boundary_sensitivity():
     except ValueError:
         obc_reports = True  # OBC has no Bloch loop to wind
     gammas = np.linspace(1.0, 3.0, 41)
-    defect = [obc_spectrum(LatticeParams(20, 1.0, 1.0, float(g), "open")).defectivity
+    defect = [obc_defectivity(LatticeParams(20, 1.0, 1.0, float(g), "open"))
               for g in gammas]
     at = gammas[int(np.argmin(defect))]
     step = gammas[1] - gammas[0]

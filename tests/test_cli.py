@@ -180,6 +180,35 @@ class TestCli:
                 (tmp_path / "out" / "dressed.csv").read_bytes()).hexdigest()
             assert digest == EDGE_N6_SHA256
 
+    @pytest.mark.parametrize("command, name, raw, digest", [
+        ("spectrum", "spectrum.csv",
+         dict(N=8, t1=1.0, t2=1.5, gamma=1.0, boundary="periodic"),
+         "9905b75cfbc7130afb641d8fb749f5357ca5f6c570067ca5242aed430450deee"),
+        # gamma < 2 t1: the real symmetric gauge chain
+        ("spectrum", "spectrum.csv",
+         dict(N=8, t1=1.0, t2=1.5, gamma=1.0, boundary="open"),
+         "30db783ec4f5fc5b58904a14e2188d947db264004bc5f55ce54e55afae507828"),
+        # gamma > 2 t1: dense eigvals
+        ("spectrum", "spectrum.csv",
+         dict(N=8, t1=1.0, t2=1.5, gamma=3.0, boundary="open"),
+         "f1919a8797122b0ceedea1314e2f47bba8750310f2a809f0e88ce007a54402b9"),
+        ("dressed", "dressed.csv",
+         dict(N=6, t1=1.0, t2=1.0, gamma=2.0, boundary="open", g=0.05,
+              cells=[3]),
+         "9c74c1535cfa735ab10b13eac659824c72e142044ab101163d1780318ecae570"),
+        # even uniform ring: the q = pi Bloch block is singular
+        ("heff", "heff.json",
+         dict(N=8, t1=1.0, t2=1.0, gamma=1.0, boundary="periodic", g=0.1,
+              cells=[1, 4, 5]),
+         "5eb56e9a00035d1118fc4e0266213fd5c9a30de32e9f7a02899e93c48bf727ff"),
+    ], ids=["spectrum-ring", "spectrum-open-below-ep",
+            "spectrum-open-above-ep", "dressed-bulk", "heff-even-ring"])
+    def test_frozen_bytes(self, tmp_path, command, name, raw, digest):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), **raw)
+        assert main([command, "--config", cfg]) == 0
+        assert hashlib.sha256(
+            (tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
          "b98f312960fd0cb2cf91531beb31e215d58ba9620f7bc1b748a102717cb98131"),

@@ -204,7 +204,8 @@ def _library_computes(lattice, cell, option):
         if option == "bulk":
             bulk_dressed_state(lattice, cell, 0.05)
         elif option == "edge":  # the edge state has its emitter in cell N
-            return edge_dressed_state(lattice, 0.05).source_cell == cell
+            edge_dressed_state(lattice, 0.05)
+            return cell == lattice.n_cells
         elif option == "numeric":
             heff_numeric(lattice, layout)
         else:

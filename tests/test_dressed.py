@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
-                    bulk_dressed_state, coupling_from_dressed,
+                    bulk_dressed_state, coupling_from_dressed, dressed_energy,
                     edge_dressed_state, verify_eigenstate)
 from oracles import picture_unitary
 
@@ -21,25 +19,24 @@ def _hamiltonian(params, source_cell, g):
 class TestBulkDressedState:
     def test_cloud_shape(self):
         p = _chain(9)
-        ds = bulk_dressed_state(p, 4, 0.1)
-        amps = ds.photon_amps
+        amps = bulk_dressed_state(p, 4, 0.1)
         c = 0.1 / (np.sqrt(2) * 2.0)
         assert amps[p.b_index(4)] == pytest.approx(-1j * c)
         assert amps[p.a_index(5)] == pytest.approx(-c)
         assert np.count_nonzero(amps) == 2
-        assert ds.energy == pytest.approx(-1j * 0.1 ** 2 / 4)
+        assert dressed_energy(p, 0.1) == pytest.approx(-1j * 0.1 ** 2 / 4)
 
     def test_ring_wraps_the_cloud(self):
         p = LatticeParams(6, 1.0, 1.0, 2.0)
-        ds = bulk_dressed_state(p, 6, 0.1)
-        assert ds.photon_amps[p.a_index(1)] != 0.0
+        assert bulk_dressed_state(p, 6, 0.1)[p.a_index(1)] != 0.0
 
     def test_residual_scales_as_g_cubed(self):
         p = _chain(9)
         res = []
         for g in (0.05, 0.025, 0.0125):
-            ds = bulk_dressed_state(p, 4, g)
-            res.append(verify_eigenstate(_hamiltonian(p, 4, g), ds))
+            res.append(verify_eigenstate(_hamiltonian(p, 4, g),
+                                         bulk_dressed_state(p, 4, g),
+                                         dressed_energy(p, g)))
         for r1, r2 in zip(res, res[1:]):
             assert r1 / r2 == pytest.approx(8.0, rel=0.15)
 
@@ -81,7 +78,7 @@ class TestEdgeDressedState:
     @pytest.mark.parametrize("n_cells", [2, 3, 4, 5, 9, 10, 400])
     def test_cloud_equals_cell_by_cell_form(self, n_cells):
         p = _chain(n_cells)
-        amps = edge_dressed_state(p, 0.05).photon_amps
+        amps = edge_dressed_state(p, 0.05)
         # bitwise, signs of zero included: dressed.csv writes these bytes
         assert amps.tobytes() == _edge_cloud_by_cell(p, 0.05).tobytes()
 
@@ -90,15 +87,15 @@ class TestEdgeDressedState:
         p = _chain(n_cells)
         res = []
         for g in (0.05, 0.025, 0.0125):
-            ds = edge_dressed_state(p, g)
-            res.append(verify_eigenstate(_hamiltonian(p, n_cells, g), ds))
+            res.append(verify_eigenstate(_hamiltonian(p, n_cells, g),
+                                         edge_dressed_state(p, g),
+                                         dressed_energy(p, g)))
         for r1, r2 in zip(res, res[1:]):
             assert r1 / r2 == pytest.approx(8.0, rel=0.15)
 
     def test_cloud_fills_the_chain(self):
         p = _chain(7)
-        ds = edge_dressed_state(p, 0.1)
-        amps = ds.photon_amps
+        amps = edge_dressed_state(p, 0.1)
         assert np.all(np.abs(amps) > 0)
         c = 0.1 / (np.sqrt(2) * 2.0)
         # doubled weight at the ends of the cloud
@@ -116,22 +113,23 @@ class TestCouplingFromDressed:
         p = _chain(9)
         g = 0.1
         gam_eff = g ** 2 / 4
-        ds = bulk_dressed_state(p, 4, g)
-        assert coupling_from_dressed(ds, 5) == pytest.approx(1j * gam_eff)
-        assert coupling_from_dressed(ds, 4) == pytest.approx(-1j * gam_eff)
-        assert coupling_from_dressed(ds, 3) == 0.0
-        assert coupling_from_dressed(ds, 6) == 0.0
+        amps = bulk_dressed_state(p, 4, g)
+        assert coupling_from_dressed(amps, g, 5) == pytest.approx(1j * gam_eff)
+        assert coupling_from_dressed(amps, g, 4) == pytest.approx(-1j * gam_eff)
+        assert coupling_from_dressed(amps, g, 3) == 0.0
+        assert coupling_from_dressed(amps, g, 6) == 0.0
 
     @pytest.mark.parametrize("n_cells,sign", [(9, 1), (10, -1)])
     def test_edge_state_couples_across_the_boundary(self, n_cells, sign):
         g = 0.1
         gam_eff = g ** 2 / 4
-        ds = edge_dressed_state(_chain(n_cells), g)
+        amps = edge_dressed_state(_chain(n_cells), g)
         # the chain-filling cloud reaches cell 1 with the boundary sign ...
-        assert coupling_from_dressed(ds, 1) == pytest.approx(sign * 1j * gam_eff)
+        assert coupling_from_dressed(amps, g, 1) == pytest.approx(
+            sign * 1j * gam_eff)
         # ... and interferes away on every bulk cell
         for probe in (3, 5, n_cells - 2):
-            assert abs(coupling_from_dressed(ds, probe)) < 1e-15
+            assert abs(coupling_from_dressed(amps, g, probe)) < 1e-15
 
     @pytest.mark.parametrize("boundary,kind,n_cells,cell", [
         ("open", "bulk", 2, 1), ("open", "bulk", 9, 1), ("open", "bulk", 9, 8),
@@ -142,33 +140,35 @@ class TestCouplingFromDressed:
                                                     n_cells, cell):
         p = LatticeParams(n_cells, 1.0, 1.0, 2.0, boundary)
         g = 0.1
-        ds = (bulk_dressed_state(p, cell, g) if kind == "bulk"
-              else edge_dressed_state(p, g))
-        want = g * (picture_unitary(n_cells).conj().T @ ds.photon_amps)[1::2]
-        got = [coupling_from_dressed(ds, c) for c in range(1, n_cells + 1)]
+        amps = (bulk_dressed_state(p, cell, g) if kind == "bulk"
+                else edge_dressed_state(p, g))
+        want = g * (picture_unitary(n_cells).conj().T @ amps)[1::2]
+        got = [coupling_from_dressed(amps, g, c) for c in range(1, n_cells + 1)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_probe_range_checked(self):
-        ds = bulk_dressed_state(_chain(9), 4, 0.1)
+        amps = bulk_dressed_state(_chain(9), 4, 0.1)
         with pytest.raises(ValueError):
-            coupling_from_dressed(ds, 10)
+            coupling_from_dressed(amps, 0.1, 10)
         for probe in (3.5, True):
             with pytest.raises(ValueError, match="must be an integer"):
-                coupling_from_dressed(ds, probe)
+                coupling_from_dressed(amps, 0.1, probe)
 
 
 class TestVerifyEigenstate:
     def test_wrong_ansatz_is_first_order(self):
         p = _chain(9)
         g = 0.01
-        ds = bulk_dressed_state(p, 4, g)
+        amps = bulk_dressed_state(p, 4, g)
+        energy = dressed_energy(p, g)
+        good = verify_eigenstate(_hamiltonian(p, 4, g), amps, energy)
         # undressed emitter misses the cloud
-        ds_bad = dataclasses.replace(ds, photon_amps=np.zeros_like(ds.photon_amps))
-        good = verify_eigenstate(_hamiltonian(p, 4, g), ds)
-        bad = verify_eigenstate(_hamiltonian(p, 4, g), ds_bad)
+        bad = verify_eigenstate(_hamiltonian(p, 4, g), np.zeros_like(amps),
+                                energy)
         assert bad > 100 * good
 
     def test_dimension_mismatch(self):
-        ds = bulk_dressed_state(_chain(9), 4, 0.1)
+        p = _chain(9)
         with pytest.raises(ValueError):
-            verify_eigenstate(np.eye(4), ds)
+            verify_eigenstate(np.eye(4), bulk_dressed_state(p, 4, 0.1),
+                              dressed_energy(p, 0.1))

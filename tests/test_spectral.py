@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nhbath import (LatticeParams, band_centroid, bloch_matrix, bloch_spectrum,
-                    build_bare_hamiltonian, obc_spectrum, point_gap_winding)
+                    build_bare_hamiltonian, obc_defectivity, obc_spectrum,
+                    point_gap_winding)
 from oracles import dense_obc_eig, hausdorff, mp_obc_eigenvalues, sampled_winding
 
 # (t1, t2) of the open-chain checks: uniform (as integers, which the chain
@@ -54,16 +55,28 @@ class TestBlochSpectrum:
         LatticeParams(12, 1.3, 0.8, 2.0),
     ])
     def test_matches_dense_multiset(self, params):
-        evb = _sorted_multiset(bloch_spectrum(params).eigenvalues)
+        evb = _sorted_multiset(bloch_spectrum(params)[0])
         evd = _sorted_multiset(np.linalg.eigvals(build_bare_hamiltonian(params).toarray()))
         np.testing.assert_allclose(evb, evd, atol=1e-12)
+
+    def test_q_values_label_each_eigenvalue(self):
+        # each pair of eigenvalues is the spectrum of the Bloch block at its q
+        p = LatticeParams(9, 1.0, 2.0, 0.7)
+        evs, qs = bloch_spectrum(p)
+        assert evs.shape == qs.shape == (18,)
+        for k in range(0, 18, 2):
+            assert qs[k] == qs[k + 1]
+            np.testing.assert_allclose(
+                _sorted_multiset(evs[k:k + 2]),
+                _sorted_multiset(np.linalg.eigvals(bloch_matrix(p, qs[k]))),
+                atol=1e-12)
 
     def test_total_loss_is_conserved(self):
         # trace: sum of imaginary parts equals -N*gamma under both boundaries
         p = LatticeParams(10, 1.0, 1.0, 1.5)
-        assert bloch_spectrum(p).eigenvalues.imag.sum() == pytest.approx(-15.0)
+        assert bloch_spectrum(p)[0].imag.sum() == pytest.approx(-15.0)
         po = dataclasses.replace(p, boundary="open")
-        assert obc_spectrum(po).eigenvalues.imag.sum() == pytest.approx(-15.0)
+        assert obc_spectrum(po).imag.sum() == pytest.approx(-15.0)
 
     def test_requires_periodic(self):
         with pytest.raises(ValueError):
@@ -78,29 +91,28 @@ class TestDenseSpectrum:
         # gamma on both sides of the exceptional point 2*t1; dense eig is
         # accurate on chains this short
         p = LatticeParams(n, t1, t2, ratio * t1, "open")
-        got = obc_spectrum(p).eigenvalues
+        got = obc_spectrum(p)
         assert got.shape == (2 * n,)
         assert hausdorff(got, dense_obc_eig(p)[0]) < 1e-10
 
     @pytest.mark.parametrize("gamma", [0.5, 1.9, 2.5, 4.0])
     def test_matches_extended_precision(self, gamma):
         p = LatticeParams(6, 1.0, 1.0, gamma, "open")
-        assert hausdorff(obc_spectrum(p).eigenvalues,
-                         mp_obc_eigenvalues(p)) < 1e-13
+        assert hausdorff(obc_spectrum(p), mp_obc_eigenvalues(p)) < 1e-13
 
     @pytest.mark.parametrize("t1, t2, n", [(1, 1, 10), (0.7, 1.3, 7),
                                            (1.5, 0.6, 2), (0.3, 2.2, 400)])
     def test_exceptional_point_is_dimers(self, t1, t2, n):
         # at gamma = 2*t1 the gauge chain splits into an isolated site at
         # each end and N - 1 dimers of hopping t2
-        got = obc_spectrum(LatticeParams(n, t1, t2, 2 * t1, "open")).eigenvalues
+        got = obc_spectrum(LatticeParams(n, t1, t2, 2 * t1, "open"))
         want = np.r_[np.full(n - 1, -t2), 0.0, 0.0, np.full(n - 1, t2)] - 1j * t1
         np.testing.assert_array_equal(np.sort_complex(got), want)
 
     def test_passive_above_exceptional_point(self):
         # the p < 0 branch: no eigenvalue may grow, over gamma in (2, 4]
         worst = max(obc_spectrum(LatticeParams(400, 1.0, 1.0, g, "open"))
-                    .eigenvalues.imag.max()
+                    .imag.max()
                     for g in np.linspace(2.0, 4.0, 21)[1:])
         assert worst <= 0.0
 
@@ -111,7 +123,7 @@ class TestDenseSpectrum:
         # the closed form 1/cond(S) against the reciprocal condition number
         # of the dense unit-eigenvector matrix, away from the exceptional point
         p = LatticeParams(n, t1, t2, ratio * t1, "open")
-        closed = obc_spectrum(p).defectivity
+        closed = obc_defectivity(p)
         assert closed == pytest.approx(
             abs((2 * t1 - ratio * t1) / (2 * t1 + ratio * t1)) ** (n / 2))
         s = np.linalg.svd(dense_obc_eig(p)[1], compute_uv=False)
@@ -120,17 +132,18 @@ class TestDenseSpectrum:
     def test_obc_requires_open(self):
         with pytest.raises(ValueError):
             obc_spectrum(LatticeParams(8, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            obc_defectivity(LatticeParams(8, 1.0, 1.0, 1.0))
 
     def test_defectivity_collapses_at_ep(self):
         mk = lambda g: LatticeParams(16, 1.0, 1.0, g, "open")
-        at_ep = obc_spectrum(mk(2.0)).defectivity
-        away = obc_spectrum(mk(0.5)).defectivity
+        at_ep = obc_defectivity(mk(2.0))
+        away = obc_defectivity(mk(0.5))
         assert at_ep < 1e-6
         assert away > 1e-3
 
     def test_hermitian_limit_not_defective(self):
-        res = obc_spectrum(LatticeParams(12, 1.0, 1.0, 0.0, "open"))
-        assert res.defectivity > 0.1
+        assert obc_defectivity(LatticeParams(12, 1.0, 1.0, 0.0, "open")) > 0.1
 
 
 class TestPointGapWinding:
@@ -193,8 +206,3 @@ class TestBandCentroid:
     def test_bad_band(self):
         with pytest.raises(ValueError):
             band_centroid(LatticeParams(8, 1.0, 2.0, 1.0), "middle")
-
-    @pytest.mark.parametrize("n_points", [0, True, 2.5])
-    def test_n_points_must_be_a_positive_integer(self, n_points):
-        with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
-            band_centroid(LatticeParams(8, 1.0, 2.0, 1.0), n_points=n_points)
