@@ -211,9 +211,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "b98f312960fd0cb2cf91531beb31e215d58ba9620f7bc1b748a102717cb98131"),
+         "328412a4c15efe966b743e4b54ee2de08b2a791cda289d908e3d36d461d8bdcb"),
         ("sweep-gamma", "sweep.csv",
-         "efeda59c34f0c7c48ab9746fb4a5f601eec5df02ac5b7fd780716e8595a063ca")])
+         "00528815fa2769681505130789feca288536b8677f83629139b0f8cc14cd1fe3")],
+        ids=["emit", "sweep-gamma"])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
                                                          command, name, digest):
         rows = {}

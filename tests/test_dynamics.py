@@ -36,10 +36,23 @@ def _shifted_norm(H):
     return np.abs(dense - mu * np.eye(dense.shape[0])).sum(axis=0).max()
 
 
-def _substep_xs(norm, times):
-    """||A/s||_1 of every interval's substeps at ||B||_1 = `norm`."""
-    a = norm * np.diff(times)
-    return a / np.maximum(1, np.ceil(a / 2))
+def _chunk_xs(norm, times):
+    """||B||_1 T / s of every chunk of samples (span T, s substeps) at
+    ||B||_1 = `norm`, after checking the plan: every x <= 2, every chunk as
+    long as x <= 2 allows, and substeps only on one interval with
+    norm * dt > 2."""
+    xs, i, last = [], 0, times.size - 1
+    while i < last:
+        reach = norm * (times[i + 1:] - times[i])  # to each later sample
+        j = i + max(1, np.count_nonzero(reach <= 2))
+        x = reach[j - i - 1]
+        s = max(1, math.ceil(x / 2))
+        assert s == 1 or (j == i + 1 and x > 2)
+        assert j == last or reach[j - i] > 2
+        xs.append(x / s)
+        i = j
+    assert max(xs) <= 2
+    return xs
 
 
 def _spy_degrees(monkeypatch):
@@ -127,8 +140,9 @@ class TestEvolve:
         ids=["periodic", "open", "long-open-chain"])
     def test_coarse_grid_takes_substeps(self, monkeypatch, boundary, n, t1, t2,
                                         gamma, cell, dt, n_steps):
-        # ||H - mu I||_1 dt > 2: every interval is split into substeps with
-        # ||A||_1 <= 2, each taken to the degree the a-priori bound asks for
+        # ||H - mu I||_1 dt > 2: every interval is a chunk of its own, split
+        # into substeps with x <= 2, each taken to the degree the a-priori
+        # bound asks for
         p = LatticeParams(n, t1, t2, gamma, boundary)
         lay = EmitterLayout([cell], 0.3)
         H = build_total_hamiltonian(p, lay)
@@ -138,7 +152,51 @@ class TestEvolve:
         amps = evolve(H, psi0, lay.n_emitters, times)
         norm = _shifted_norm(H)
         assert norm * dt > 2
-        np.testing.assert_allclose(xs, _substep_xs(norm, times), rtol=1e-12)
+        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
+        np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
+                                   rtol=0, atol=1e-13)
+
+    def test_samples_inside_a_chunk_match_dense_expm_powers(self,
+                                                            monkeypatch):
+        # dt = 0.01 on the N = 100 ring with t1 != t2: about 45-60 samples
+        # share each chunk, so nearly every multiple of 0.5 is read off the
+        # terms of a chunk that started elsewhere
+        params = [LatticeParams(100, 1.3, 0.8, gamma, "periodic")
+                  for gamma in (0.5, 2.6)]
+        lay = EmitterLayout([37], 0.2)
+        psi0 = excited_emitter_state(params[0], lay)
+        times = np.linspace(0, 5, 501)
+        hamiltonians = [build_total_hamiltonian(p, lay) for p in params]
+        xs = _spy_degrees(monkeypatch)
+        stacked = stacked_cell_weights(hamiltonians, psi0, lay.n_emitters,
+                                       times)
+        assert 30 * len(xs) < times.size
+        for k, H in enumerate(hamiltonians):
+            amps = evolve(H, psi0, lay.n_emitters, times)
+            step, want = expm(-0.5j * H.toarray()), [psi0]
+            for _ in range(10):
+                want.append(step @ want[-1])
+            np.testing.assert_allclose(amps[::50], want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                stacked[::50, k],
+                cell_weights(photon_density(np.array(want), lay.n_emitters)),
+                rtol=0, atol=1e-13)
+
+    def test_chunk_ends_before_a_substepped_interval(self, monkeypatch):
+        # runs of dt = 3/64 (a binary fraction near 0.05, so the grid has
+        # two interval lengths) around one interval of 0.75 > 2/||B||_1 on
+        # the N = 200 open chain: chunks of 9, 9 and 2 intervals end at
+        # t = 0.9375, the long interval takes 2 substeps, then 9, 9, 2 again
+        p = LatticeParams(200, 1.3, 0.8, 3.0, "open")
+        lay = EmitterLayout([100], 0.3)
+        H = build_total_hamiltonian(p, lay)
+        psi0 = excited_emitter_state(p, lay)
+        times = 3 / 64 * np.r_[0:21, 36:57]
+        xs = _spy_degrees(monkeypatch)
+        amps = evolve(H, psi0, lay.n_emitters, times)
+        norm = _shifted_norm(H)
+        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
+        assert len(xs) == 7 and xs[3] == pytest.approx(norm * 0.75 / 2)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -153,7 +211,8 @@ class TestEvolve:
                                    np.exp(-1j * lam) * psi0,
                                    rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5,
+                                   2.0])
     def test_degree_is_the_least_that_meets_the_bound(self, x):
         def bound(m):
             return x ** (m + 1) / math.factorial(m + 1) * math.exp(x)
@@ -399,7 +458,7 @@ class TestStackedCellWeights:
         xs = _spy_degrees(monkeypatch)
         got = stacked_cell_weights(hamiltonians, psi0, lay.n_emitters, times)
         norm = max(map(_shifted_norm, hamiltonians))
-        np.testing.assert_allclose(xs, _substep_xs(norm, times), rtol=1e-12)
+        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
         for k, H in enumerate(hamiltonians):
             want = cell_weights(photon_density(expm_stepped(H, psi0, times),
                                                lay.n_emitters))
