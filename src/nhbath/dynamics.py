@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, diags_array
+from scipy.sparse import csr_array, diags_array, eye_array, kron
 
 from .params import require_count, require_index, require_positive
+
+_GROUP = 8  # samples of a chunk read out of its terms by one product
 
 
 def _taylor_degree(x: float) -> int:
@@ -21,46 +23,55 @@ def _taylor_degree(x: float) -> int:
     return m
 
 
-def _chunks(norm: float, times: np.ndarray):
-    """The plan of `_taylor_steps` at ||B||_1 = `norm`: (i, j, s, m) for each
-    chunk times[i..j]: the most intervals (at least one) whose span T keeps
-    x = norm * T <= 2, taken in s = max(1, ceil(x/2)) substeps of degree
-    m = _taylor_degree(x/s)."""
+def _chunks(alpha: float, times: np.ndarray):
+    """The plan of `_taylor_steps` at alpha_2(B) = `alpha`: (i, j, s, m) for
+    each chunk times[i..j]: the most intervals (at least one) whose span T
+    keeps x = alpha * T <= 2, in s = max(1, ceil(x/2)) substeps of degree
+    m = _taylor_degree(x/s), at least the 1 the bound in alpha_2 needs."""
     i = 0
     while i < times.size - 1:
-        j = i + max(1, int(np.searchsorted(norm * (times[i:] - times[i]), 2,
+        j = i + max(1, int(np.searchsorted(alpha * (times[i:] - times[i]), 2,
                                            side="right")) - 1)
-        x = norm * (times[j] - times[i])
+        x = alpha * (times[j] - times[i])
         s = max(1, math.ceil(x / 2))
-        yield i, j, s, _taylor_degree(x / s)
+        yield i, j, s, max(1, _taylor_degree(x / s))
         i = j
 
 
-def _taylor_steps(H: csr_array, shift, psi: np.ndarray, times: np.ndarray,
-                  diag: np.ndarray):
-    """Yield the solution of i d(psi)/dt = (H + diag + shift) psi at every
-    sample time, for one state `psi` (shape (dim,), `diag` (dim,), scalar
-    `shift`) or for a block of states (dim, n_sys) whose column k evolves
-    under H + diag(diag[:, k]) + shift[k] I.  H holds no diagonal entry;
-    every system shares it.
+def _taylor_steps(H: csr_array, diag: np.ndarray, psi: np.ndarray,
+                  times: np.ndarray):
+    """Yield at every sample time the block of states (dim, n_sys) whose
+    column k solves i d(psi)/dt = (H + diag(diag[:, k])) psi from column k
+    of `psi`: every system shares the CSR H; `evolve` is one column.
 
-    The scalar part is the exact factor exp(-i shift tau) at offset tau into
-    a chunk of `_chunks`.  Each chunk of span T forms once per substep the
-    terms v_j = (-i B T/s)^j psi / j! of exp(-i B T/s) psi, B = H + diag,
-    j <= m (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), §5),
-    each one product by H and one by the diagonal.  A sample at tau is
-    sum_j (tau/T)^j v_j, one weighted sum of the stored terms, within the
-    same a-priori bound, which grows with ||B||_1 tau; only chunk ends are
-    propagated.  ||B||_1 is computed exactly, once: the largest column sum
-    of any system.  With `shift` each system's mean diagonal (their §3.1),
-    B is the traceless part, in which the loss -i gamma on the b sites is
-    about -i gamma/2 there and +i gamma/2 on the a sites.  At x = ||B||_1
-    T/s in (1, 2] the degree is 18-24, so a unit of ||B||_1 t costs about
-    12-14 terms however fine the grid, while the terms x^j/j! peak at 2
-    and the rounding stays small.
+    Each system is shifted by its mean diagonal mu (Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33, 488 (2011), §3.1), which a sample at offset tau into
+    a chunk of `_chunks` takes as the exact factor exp(-i mu tau).  On the
+    traceless part B each chunk of span T forms once per substep the terms
+    v_j = (-i B T/s)^j psi / j!, j <= m (their §5), each one product by the
+    off-diagonal CSR and one by the diagonal; the sample is sum_j (tau/T)^j
+    v_j, and up to `_GROUP` samples are read out as one real product.
+
+    The plan is a-priori: alpha_2 = max(||B^2||_1^(1/2), ||B^3||_1^(1/3)),
+    exact, from the block-diagonal B (the largest over systems), bounds the
+    remainder of the degree-m series at B tau by the scalar one at alpha_2
+    tau for any matrix once m >= 1 (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970 (2009), Thm 4.2).  alpha_2 <= ||B||_1; on this lattice,
+    where B^2 cancels much of B, it is about half.  At x = alpha_2 T/s in
+    (1, 2] the degree is 18-24: a unit of alpha_2 t costs about 12-14
+    products however fine the grid, and the rounding stays small.
     """
-    norm = float((abs(diag).T + abs(H).sum(axis=0)).max())
-    plan = list(_chunks(norm, times))
+    d = H.diagonal()
+    H = H - diags_array(d, format="csr")
+    diag = diag + d[:, None]
+    shift = diag.mean(axis=0)
+    diag -= shift
+    B = kron(eye_array(shift.size), H, format="csr") \
+        + diags_array(diag.ravel(order="F"), format="csr")
+    B2 = B @ B
+    plan = list(_chunks(max(abs(B2).sum(axis=0).max() ** (1 / 2),
+                            abs(B2 @ B).sum(axis=0).max() ** (1 / 3)), times))
+    del B, B2  # before the term stack is allocated
     terms = np.empty((max(m for *_, m in plan) + 1,) + psi.shape, complex)
     yield psi
     for i, j, s, m in plan:
@@ -72,11 +83,14 @@ def _taylor_steps(H: csr_array, shift, psi: np.ndarray, times: np.ndarray,
                 np.multiply(diag, prev, out=term)
                 term += H @ prev
                 term *= -1j * span / (s * k)
-        flat = v.reshape(m + 1, -1)
-        for tau in times[i + 1:j + 1] - times[i]:
-            psi = ((tau / span) ** np.arange(m + 1) @ flat).reshape(psi.shape)
-            psi *= np.exp(-1j * shift * tau)
-            yield psi
+        flat = v.reshape(m + 1, -1).view(float)
+        taus = times[i + 1:j + 1] - times[i]
+        for tau in np.split(taus, range(_GROUP, taus.size, _GROUP)):
+            out = ((tau[:, None] / span) ** np.arange(m + 1) @ flat).view(
+                complex).reshape(tau.shape + psi.shape)
+            out *= np.exp(-1j * shift * tau[:, None, None])
+            yield from out
+        psi = out[-1]
 
 
 def _time_grid(times) -> np.ndarray:
@@ -123,53 +137,40 @@ def evolve(hamiltonian, initial, n_emitters: int,
     returned (n_steps, n_emitters + 2N) array is the state at `times[k]`.
 
     Times must be finite, start at 0 and increase; H and the state must be
-    finite.  Every chunk of intervals with ||H - mu I||_1 T <= 2, uniform
-    grid or not, is one bounded Taylor expansion under the off-diagonal CSR
-    plus the diagonal less its mean mu = trace(H)/dim, times the exact
-    factor exp(-i mu tau) (see `_taylor_steps`).
+    finite.  The state is the one column of `_taylor_steps`: one bounded
+    Taylor expansion per chunk of intervals with alpha_2(H - mu I) T <= 2.
     """
     H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
-    d = H.diagonal()
-    mu = d.mean()
-    off = H - diags_array(d, format="csr")
     amps = np.empty((times.size, psi0.size), dtype=complex)
-    for k, psi in enumerate(_taylor_steps(off, mu, psi0, times, d - mu)):
-        amps[k] = psi
+    for k, psi in enumerate(_taylor_steps(H, np.zeros((psi0.size, 1)),
+                                          psi0[:, None], times)):
+        amps[k] = psi[:, 0]
     return amps
 
 
-def stacked_cell_weights(hamiltonians: Iterable, initial, n_emitters: int,
+def stacked_cell_weights(hamiltonian, gammas: Sequence[float], initial,
+                         n_emitters: int,
                          times: Sequence[float]) -> np.ndarray:
-    """Photon weight per cell of every system, shape (n_steps, n_systems, N).
+    """Photon weight per cell of every system, shape (n_steps, n_gammas, N).
 
-    Propagates `initial` (as in `evolve`) under each Hamiltonian, under the
-    same checks, and keeps only the cell weights of each step, not the
-    amplitudes.  The Hamiltonians (all of one dimension) must agree off the
-    diagonal, as those of one lattice at several loss rates do: the states
-    are the columns of one (dim, n_systems) block, stepped by the kernel of
-    `evolve` with one shared CSR of the off-diagonal part and each system's
-    diagonal less its mean.
+    System k is `hamiltonian` plus the loss -i gammas[k] on every b site
+    (photon index n_emitters + 2c + 1 of cell c).  Propagates `initial` in
+    each, as and under the checks of `evolve`, as the columns of one block
+    of `_taylor_steps`, and keeps only the cell weights of each step.
     """
-    off, diagonals = None, []
-    for H in hamiltonians:
-        H, psi0, times = _checked(H, initial, n_emitters, times)
-        d = H.diagonal()
-        H = H - diags_array(d, format="csr")
-        if off is None:
-            off = H
-        elif (H != off).nnz:
-            raise ValueError("the hamiltonians differ off the diagonal")
-        diagonals.append(d)
-    if off is None:
-        raise ValueError("need at least one hamiltonian")
-    diag = np.column_stack(diagonals)
-    mu = diag.mean(axis=0)
-    diag -= mu
-    ne = n_emitters
-    weights = np.empty((times.size, mu.size, (psi0.size - ne) // 2))
-    block = np.repeat(psi0[:, None], mu.size, axis=1)
-    for k, psi in enumerate(_taylor_steps(off, mu, block, times, diag)):
-        weights[k] = cell_weights(np.abs(psi[ne:].T) ** 2)
+    H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1 or not gammas.size \
+            or not (np.isfinite(gammas) & (gammas >= 0)).all():
+        raise ValueError("need a 1-D array of finite, non-negative loss rates, "
+                         f"at least one, got {gammas}")
+    loss = np.zeros((psi0.size, gammas.size), dtype=complex)
+    loss[n_emitters + 1::2] = -1j * gammas
+    block = np.repeat(psi0[:, None], gammas.size, axis=1)
+    weights = np.empty((times.size, gammas.size,
+                        (psi0.size - n_emitters) // 2))
+    for k, psi in enumerate(_taylor_steps(H, loss, block, times)):
+        weights[k] = cell_weights(np.abs(psi[n_emitters:].T) ** 2)
     return weights
 
 

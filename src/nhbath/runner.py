@@ -152,9 +152,8 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
 def _sweep_files(cfg: ExperimentConfig) -> dict:
     times = _time_grid(cfg)
     lattice, layout = cfg.lattice, cfg.emitters
-    hamiltonians = [build_total_hamiltonian(replace(lattice, gamma=gamma), layout)
-                    for gamma in cfg.gamma_values]
-    weights = stacked_cell_weights(hamiltonians,
+    H = build_total_hamiltonian(replace(lattice, gamma=0.0), layout)
+    weights = stacked_cell_weights(H, cfg.gamma_values,
                                    excited_emitter_state(lattice, layout),
                                    layout.n_emitters, times)
     # one average per gamma: averaging the whole stack at once would hold

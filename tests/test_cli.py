@@ -211,9 +211,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "328412a4c15efe966b743e4b54ee2de08b2a791cda289d908e3d36d461d8bdcb"),
+         "c9519b19c0460f775e884bb539f036c9aa5c9771d43151ef3cdc38e1734d9c9d"),
         ("sweep-gamma", "sweep.csv",
-         "00528815fa2769681505130789feca288536b8677f83629139b0f8cc14cd1fe3")],
+         "aa599cc28ac30fea2bc50ea9d5e08789ad2f02d2418a4b1fde213925a537f58f")],
         ids=["emit", "sweep-gamma"])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
                                                          command, name, digest):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_array
 
 import nhbath.dynamics
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
@@ -29,21 +30,27 @@ def _localize(times, amps, *args, **kwargs):
                                *args, **kwargs)
 
 
-def _shifted_norm(H):
-    """||H - mu I||_1 with mu = trace(H)/dim, from the dense matrix."""
-    dense = H.toarray()
-    mu = np.trace(dense) / dense.shape[0]
-    return np.abs(dense - mu * np.eye(dense.shape[0])).sum(axis=0).max()
+def _alpha2(*hamiltonians):
+    """max(||B^2||_1^(1/2), ||B^3||_1^(1/3)) of B = H - mu I, mu =
+    trace(H)/dim, from dense powers, the largest over the systems."""
+    def alpha2(H):
+        B = H.toarray()
+        B -= np.trace(B) / B.shape[0] * np.eye(B.shape[0])
+        B2 = B @ B
+        return max(np.linalg.norm(B2, 1) ** (1 / 2),
+                   np.linalg.norm(B2 @ B, 1) ** (1 / 3))
+
+    return max(map(alpha2, hamiltonians))
 
 
-def _chunk_xs(norm, times):
-    """||B||_1 T / s of every chunk of samples (span T, s substeps) at
-    ||B||_1 = `norm`, after checking the plan: every x <= 2, every chunk as
-    long as x <= 2 allows, and substeps only on one interval with
-    norm * dt > 2."""
+def _chunk_xs(alpha, times):
+    """alpha_2 T / s of every chunk of samples (span T, s substeps) at
+    alpha_2 = `alpha`, after checking the plan: every x <= 2, every chunk
+    as long as x <= 2 allows, and substeps only on one interval with
+    alpha * dt > 2."""
     xs, i, last = [], 0, times.size - 1
     while i < last:
-        reach = norm * (times[i + 1:] - times[i])  # to each later sample
+        reach = alpha * (times[i + 1:] - times[i])  # to each later sample
         j = i + max(1, np.count_nonzero(reach <= 2))
         x = reach[j - i - 1]
         s = max(1, math.ceil(x / 2))
@@ -140,9 +147,9 @@ class TestEvolve:
         ids=["periodic", "open", "long-open-chain"])
     def test_coarse_grid_takes_substeps(self, monkeypatch, boundary, n, t1, t2,
                                         gamma, cell, dt, n_steps):
-        # ||H - mu I||_1 dt > 2: every interval is a chunk of its own, split
-        # into substeps with x <= 2, each taken to the degree the a-priori
-        # bound asks for
+        # alpha_2(H - mu I) dt > 2: every interval is a chunk of its own,
+        # split into substeps with x <= 2, each taken to the degree the
+        # a-priori bound asks for
         p = LatticeParams(n, t1, t2, gamma, boundary)
         lay = EmitterLayout([cell], 0.3)
         H = build_total_hamiltonian(p, lay)
@@ -150,26 +157,27 @@ class TestEvolve:
         times = dt * np.arange(n_steps + 1)
         xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
-        norm = _shifted_norm(H)
-        assert norm * dt > 2
-        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
+        alpha = _alpha2(H)
+        assert alpha * dt > 2
+        np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
     def test_samples_inside_a_chunk_match_dense_expm_powers(self,
                                                             monkeypatch):
-        # dt = 0.01 on the N = 100 ring with t1 != t2: about 45-60 samples
+        # dt = 0.01 on the N = 100 ring with t1 != t2: about 85-90 samples
         # share each chunk, so nearly every multiple of 0.5 is read off the
         # terms of a chunk that started elsewhere
         params = [LatticeParams(100, 1.3, 0.8, gamma, "periodic")
-                  for gamma in (0.5, 2.6)]
+                  for gamma in (0.0, 0.5, 2.6)]
         lay = EmitterLayout([37], 0.2)
         psi0 = excited_emitter_state(params[0], lay)
         times = np.linspace(0, 5, 501)
-        hamiltonians = [build_total_hamiltonian(p, lay) for p in params]
+        lossless, *hamiltonians = [build_total_hamiltonian(p, lay)
+                                   for p in params]
         xs = _spy_degrees(monkeypatch)
-        stacked = stacked_cell_weights(hamiltonians, psi0, lay.n_emitters,
-                                       times)
+        stacked = stacked_cell_weights(lossless, (0.5, 2.6), psi0,
+                                       lay.n_emitters, times)
         assert 30 * len(xs) < times.size
         for k, H in enumerate(hamiltonians):
             amps = evolve(H, psi0, lay.n_emitters, times)
@@ -184,19 +192,19 @@ class TestEvolve:
 
     def test_chunk_ends_before_a_substepped_interval(self, monkeypatch):
         # runs of dt = 3/64 (a binary fraction near 0.05, so the grid has
-        # two interval lengths) around one interval of 0.75 > 2/||B||_1 on
-        # the N = 200 open chain: chunks of 9, 9 and 2 intervals end at
-        # t = 0.9375, the long interval takes 2 substeps, then 9, 9, 2 again
+        # two interval lengths) around one interval of 1.5 > 2/alpha_2 on
+        # the N = 200 open chain: chunks of 19, 19 and 2 intervals end at
+        # t = 1.875, the long interval takes 2 substeps, then 19, 19, 2 again
         p = LatticeParams(200, 1.3, 0.8, 3.0, "open")
         lay = EmitterLayout([100], 0.3)
         H = build_total_hamiltonian(p, lay)
         psi0 = excited_emitter_state(p, lay)
-        times = 3 / 64 * np.r_[0:21, 36:57]
+        times = 3 / 64 * np.r_[0:41, 72:113]
         xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
-        norm = _shifted_norm(H)
-        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
-        assert len(xs) == 7 and xs[3] == pytest.approx(norm * 0.75 / 2)
+        alpha = _alpha2(H)
+        np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
+        assert len(xs) == 7 and xs[3] == pytest.approx(alpha * 1.5 / 2)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -210,6 +218,35 @@ class TestEvolve:
         np.testing.assert_allclose(amps[1],
                                    np.exp(-1j * lam) * psi0,
                                    rtol=0, atol=1e-15)
+
+    def test_nilpotent_step_keeps_its_first_order_term(self):
+        # a one-way hop, B^2 = 0: alpha_2 = 0, so the whole grid is one
+        # chunk at x = 0, and only the floor m >= 1 of the alpha_2 bound
+        # keeps exp(-iBt) = I - iBt from being read as I
+        B = np.array([[0.0, 1e4], [0.0, 0.0]])
+        psi0 = np.array([0.6, 0.8j])
+        times = np.linspace(0, 2, 5)
+        for t, got in zip(times, evolve(B, psi0, 0, times)):
+            want = expm(-1j * t * B) @ psi0
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_plan_from_alpha2_far_below_the_norm(self, monkeypatch):
+        # B = [[a, K], [0, -a]]: B^2 = a^2 I, so alpha_2 = ||B^3||_1^(1/3)
+        # = (a^2 (K + a))^(1/3) = 21.5 against ||B||_1 = K + a = 10001;
+        # chunks of 9 intervals, their interior samples read off the terms
+        a, K = 1.0, 1e4
+        B = np.array([[a, K], [0.0, -a]])
+        psi0 = np.array([0.6, 0.8j])
+        times = np.linspace(0, 1, 101)
+        xs = _spy_degrees(monkeypatch)
+        amps = evolve(B, psi0, 0, times)
+        alpha = (a * a * (K + a)) ** (1 / 3)
+        assert _alpha2(csr_array(B)) == pytest.approx(alpha, rel=1e-15)
+        np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
+        assert len(xs) == 12
+        for t, got in zip(times, amps):
+            want = expm(-1j * t * B) @ psi0
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5,
                                    2.0])
@@ -409,10 +446,10 @@ class TestStackedCellWeights:
 
     def test_each_system_matches_evolve(self):
         times = np.linspace(0, 20, 201)
-        p, lay, _ = self._ring(1.0)
+        p, lay, lossless = self._ring(0.0)
         psi0 = excited_emitter_state(p, lay)
-        got = stacked_cell_weights((self._ring(g)[2] for g in self.GAMMAS),
-                                   psi0, lay.n_emitters, times)
+        got = stacked_cell_weights(lossless, self.GAMMAS, psi0,
+                                   lay.n_emitters, times)
         assert got.shape == (201, 3, 10)
         for k, gamma in enumerate(self.GAMMAS):
             amps = evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times)
@@ -438,47 +475,53 @@ class TestStackedCellWeights:
         assert (rows[:, 3] == 0.0).all() and rows[:, 1].max() > 0.9
 
     def test_one_system_matches_evolve(self):
-        p, lay, H = self._ring(2.0, cell=4)
+        # the loss added on the b sites is the lattice's own: the one
+        # column steps the same matrix as `evolve`, in the same order
+        p, lay, lossless = self._ring(0.0, cell=4)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 20, 201)
-        got = stacked_cell_weights([H], psi0, lay.n_emitters, times)
-        amps = evolve(H, psi0, lay.n_emitters, times)
+        got = stacked_cell_weights(lossless, [2.0], psi0, lay.n_emitters,
+                                   times)
+        amps = evolve(self._ring(2.0, cell=4)[2], psi0, lay.n_emitters, times)
         want = cell_weights(photon_density(amps, lay.n_emitters))
         np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-15)
 
     def test_non_uniform_ring_matches_dense_expm_stepping(self, monkeypatch):
         # t1 != t2 on the N = 100 ring, below, at and above the exceptional
-        # point gamma = 2 t1; the degree follows the largest shifted norm
-        params = [LatticeParams(100, 1.3, 0.8, gamma, "periodic")
-                  for gamma in (0.5, 2.6, 3.0)]
+        # point gamma = 2 t1; the plan follows the largest alpha_2
+        gammas = (0.5, 2.6, 3.0)
         lay = EmitterLayout([37], 0.2)
-        psi0 = excited_emitter_state(params[0], lay)
+        lossless, *hamiltonians = [
+            build_total_hamiltonian(LatticeParams(100, 1.3, 0.8, gamma,
+                                                  "periodic"), lay)
+            for gamma in (0.0, *gammas)]
+        psi0 = excited_emitter_state(LatticeParams(100, 1.3, 0.8, 0.0,
+                                                   "periodic"), lay)
         times = np.linspace(0, 10, 41)
-        hamiltonians = [build_total_hamiltonian(p, lay) for p in params]
         xs = _spy_degrees(monkeypatch)
-        got = stacked_cell_weights(hamiltonians, psi0, lay.n_emitters, times)
-        norm = max(map(_shifted_norm, hamiltonians))
-        np.testing.assert_allclose(xs, _chunk_xs(norm, times), rtol=1e-12)
+        got = stacked_cell_weights(lossless, gammas, psi0, lay.n_emitters,
+                                   times)
+        np.testing.assert_allclose(xs, _chunk_xs(_alpha2(*hamiltonians),
+                                                 times), rtol=1e-12)
         for k, H in enumerate(hamiltonians):
             want = cell_weights(photon_density(expm_stepped(H, psi0, times),
                                                lay.n_emitters))
             np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-13)
 
     def test_bad_inputs(self):
-        p, lay, H = self._ring(1.0)
+        p, lay, H = self._ring(0.0)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 1, 3)
-        with pytest.raises(ValueError, match="at least one"):
-            stacked_cell_weights([], psi0, lay.n_emitters, times)
+        for gammas in ([], [[1.0]], [[1.0, 2.0]], 1.0, [1.0, np.nan],
+                       [1.0, np.inf], [-1.0]):
+            with pytest.raises(ValueError, match="loss rates"):
+                stacked_cell_weights(H, gammas, psi0, lay.n_emitters, times)
         with pytest.raises(ValueError, match="dimension"):
-            stacked_cell_weights([H, H[:-2, :-2]], psi0, lay.n_emitters, times)
-        with pytest.raises(ValueError, match="times must be strictly"):
-            stacked_cell_weights([H], psi0, lay.n_emitters, [0.0, 1.0, 1.0])
-        # one lattice at another t2: the systems differ off the diagonal
-        other = build_total_hamiltonian(LatticeParams(10, 1.0, 1.5, 1.0,
-                                                      "periodic"), lay)
-        with pytest.raises(ValueError, match="differ off the diagonal"):
-            stacked_cell_weights([H, other], psi0, lay.n_emitters, times)
+            stacked_cell_weights(H[:-2, :-2], [1.0], psi0, lay.n_emitters,
+                                 times)
+        for bad in ([0.0, 1.0, 1.0], [0.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="times"):
+                stacked_cell_weights(H, [1.0], psi0, lay.n_emitters, bad)
 
 
 def _directional_populations(params, layout, times):
