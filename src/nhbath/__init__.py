@@ -13,7 +13,7 @@ from .params import (LatticeParams, EmitterLayout, excited_emitter_state,
 from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
                       intracell_unitary)
 from .spectral import (bloch_matrix, bloch_spectrum, obc_spectrum,
-                       obc_defectivity, band_centroid, point_gap_winding)
+                       obc_defectivity, point_gap_winding)
 from .dynamics import (evolve, stacked_cell_weights, emitter_populations,
                        photon_density, cell_weights, localization_report,
                        fit_decay_rate)
@@ -30,7 +30,7 @@ __all__ = [
     "weak_coupling_warnings",
     "build_bare_hamiltonian", "build_total_hamiltonian", "intracell_unitary",
     "bloch_matrix", "bloch_spectrum", "obc_spectrum", "obc_defectivity",
-    "band_centroid", "point_gap_winding",
+    "point_gap_winding",
     "evolve", "stacked_cell_weights",
     "emitter_populations", "photon_density", "cell_weights",
     "localization_report", "fit_decay_rate",

@@ -47,10 +47,11 @@ def _taylor_steps(H: csr_array, diag: np.ndarray, psi: np.ndarray,
     Each system is shifted by its mean diagonal mu (Al-Mohy & Higham, SIAM
     J. Sci. Comput. 33, 488 (2011), §3.1), which a sample at offset tau into
     a chunk of `_chunks` takes as the exact factor exp(-i mu tau).  On the
-    traceless part B each chunk of span T forms once per substep the terms
-    v_j = (-i B T/s)^j psi / j!, j <= m (their §5), each one product by the
-    off-diagonal CSR and one by the diagonal; the sample is sum_j (tau/T)^j
-    v_j, and up to `_GROUP` samples are read out as one real product.
+    traceless part B = H + diag(diag[:, k] - mu) each chunk of span T forms
+    once per substep the terms v_j = (-i B T/s)^j psi / j!, j <= m (their
+    §5), each one product by H as assembled and one by the shifted
+    diagonal; the sample is sum_j (tau/T)^j v_j, and up to `_GROUP` samples
+    are read out as one real product.
 
     The plan is a-priori: alpha_2 = max(||B^2||_1^(1/2), ||B^3||_1^(1/3)),
     exact, from the block-diagonal B (the largest over systems), bounds the
@@ -61,11 +62,8 @@ def _taylor_steps(H: csr_array, diag: np.ndarray, psi: np.ndarray,
     (1, 2] the degree is 18-24: a unit of alpha_2 t costs about 12-14
     products however fine the grid, and the rounding stays small.
     """
-    d = H.diagonal()
-    H = H - diags_array(d, format="csr")
-    diag = diag + d[:, None]
-    shift = diag.mean(axis=0)
-    diag -= shift
+    shift = (H.diagonal()[:, None] + diag).mean(axis=0)
+    diag = diag - shift
     B = kron(eye_array(shift.size), H, format="csr") \
         + diags_array(diag.ravel(order="F"), format="csr")
     B2 = B @ B
@@ -208,14 +206,11 @@ def localization_report(times: Sequence[float], weights: np.ndarray,
     left and right are the other cells below and above the emitter's.
     """
     require_positive("t_average", t_average)
-    times = np.asarray(times, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if times.ndim != 1 or times.size < 2 or weights.shape[:1] != times.shape \
-            or weights.ndim != 2:
-        raise ValueError(f"need cell weights of shape (n_steps, N) at n_steps "
-                         f">= 2 sample times, got {weights.shape} at "
-                         f"{times.shape}")
     times = _time_grid(times)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[0] != times.size:
+        raise ValueError(f"need cell weights of shape (n_steps, N) at the "
+                         f"{times.size} sample times, got {weights.shape}")
     if t_average > times[-1] + 1e-12:
         raise ValueError("t_average exceeds the sampled time span")
     n = np.searchsorted(times, t_average + 1e-12, side="right")

@@ -53,7 +53,7 @@ def max_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
+def _sample_times(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_points)
 
 
@@ -75,7 +75,7 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
     lattice, layout = cfg.lattice, cfg.emitters
     H = build_total_hamiltonian(lattice, layout)
     psi0 = excited_emitter_state(lattice, layout, which=cfg.excited_emitter)
-    times = _time_grid(cfg)
+    times = _sample_times(cfg)
     amps = evolve(H, psi0, layout.n_emitters, times)
     pops = emitter_populations(amps, layout.n_emitters)
     dens = photon_density(amps, layout.n_emitters)
@@ -150,7 +150,7 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
 
 
 def _sweep_files(cfg: ExperimentConfig) -> dict:
-    times = _time_grid(cfg)
+    times = _sample_times(cfg)
     lattice, layout = cfg.lattice, cfg.emitters
     H = build_total_hamiltonian(replace(lattice, gamma=0.0), layout)
     weights = stacked_cell_weights(H, cfg.gamma_values,

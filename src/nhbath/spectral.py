@@ -10,9 +10,7 @@ from .lattice import build_bare_hamiltonian
 from .params import LatticeParams
 
 __all__ = ["bloch_matrix", "bloch_spectrum", "obc_spectrum", "obc_defectivity",
-           "band_centroid", "point_gap_winding", "build_bare_hamiltonian"]
-
-_CENTROID_POINTS = 512  # q samples of the zone in `band_centroid`
+           "point_gap_winding", "build_bare_hamiltonian"]
 
 
 def bloch_matrix(params: LatticeParams, q) -> np.ndarray:
@@ -84,23 +82,6 @@ def obc_defectivity(params: LatticeParams) -> float:
         raise ValueError("obc_defectivity requires open boundary conditions")
     t1, gamma = params.t1, params.gamma
     return abs((t1 - gamma / 2) / (t1 + gamma / 2)) ** (params.n_cells / 2)
-
-
-def band_centroid(params: LatticeParams, band: str = "upper") -> complex:
-    """Mean of one eigenvalue branch over `_CENTROID_POINTS` evenly spaced q
-    of the Brillouin zone.
-
-    Branches are sorted by real part at each q; band is "upper" (larger real
-    part) or "lower".  Useful as a reference energy inside one spectral loop.
-    """
-    if band not in ("upper", "lower"):
-        raise ValueError("band must be 'upper' or 'lower'")
-    pick = -1 if band == "upper" else 0
-    qs = 2 * np.pi * np.arange(_CENTROID_POINTS) / _CENTROID_POINTS
-    ev = np.linalg.eigvals(bloch_matrix(params, qs))
-    branch = ev[np.arange(_CENTROID_POINTS),
-                np.argsort(ev.real, axis=1)[:, pick]]
-    return complex(branch.mean())
 
 
 def point_gap_winding(params: LatticeParams, e0: complex) -> int:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nhbath import (EmitterLayout, LatticeParams, band_centroid,
+from nhbath import (EmitterLayout, LatticeParams, bloch_spectrum,
                     build_total_hamiltonian, bulk_dressed_state, cell_weights,
                     dressed_energy, edge_dressed_state, emitter_populations,
                     evolve, excited_emitter_state, fit_decay_rate,
@@ -165,7 +165,10 @@ def test_criterion_08_interaction_range():
 
 def test_criterion_09_spectral_boundary_sensitivity():
     ring = LatticeParams(64, 1.0, 2.0, 1.0)
-    w = point_gap_winding(ring, band_centroid(ring, "upper"))
+    # e0: the mean of the upper band, the larger real part at each q
+    pairs = bloch_spectrum(ring)[0].reshape(-1, 2)
+    w = point_gap_winding(ring, pairs[np.arange(len(pairs)),
+                                      pairs.real.argmax(axis=1)].mean())
     try:
         point_gap_winding(dataclasses.replace(ring, boundary="open"), 0.0)
         obc_reports = False

@@ -57,6 +57,16 @@ class TestCli:
         assert "gamma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # fail-fast: no partial output
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"N": 8, "t1": 1.0, "t2": 1.0,
+                                     "gamma": 2.0, "g": 0.05, "cells": [3],
+                                     "output_dir": str(tmp_path / "out")}]),
+                        encoding="utf-8")
+        assert main(["emit", "--config", str(path)]) == 2
+        assert "must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("override", ["gamma=NaN", "g=Infinity",
                                           "t_max=Infinity"])
     @pytest.mark.parametrize("command", ["heff", "emit", "spectrum"])
@@ -211,7 +221,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "c9519b19c0460f775e884bb539f036c9aa5c9771d43151ef3cdc38e1734d9c9d"),
+         "d6e5f49aa311df8e1442008963a7218956b13134f12b96292a7c32cb42bc3390"),
         ("sweep-gamma", "sweep.csv",
          "aa599cc28ac30fea2bc50ea9d5e08789ad2f02d2418a4b1fde213925a537f58f")],
         ids=["emit", "sweep-gamma"])

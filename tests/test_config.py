@@ -28,6 +28,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("N: 8")
 
+    def test_not_an_object(self):
+        with pytest.raises(ConfigError, match="must be an object"):
+            parse_config("[1, 2]")
+
     def test_negative_gamma_names_the_field(self):
         bad = MINIMAL_SPECTRUM.replace('"gamma": 1', '"gamma": -0.5')
         with pytest.raises(ConfigError, match="gamma"):

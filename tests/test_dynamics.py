@@ -376,10 +376,11 @@ class TestLocalizationReport:
             with pytest.raises(ValueError, match="must be an integer"):
                 _localize(times, amps, cell, 5.0)
         weights = cell_weights(photon_density(amps, lay.n_emitters))
-        for ts, w in ((times[:-1], weights), (times, weights[0]),
-                      (times[:1], weights[:1])):
+        for ts, w in ((times[:-1], weights), (times, weights[0])):
             with pytest.raises(ValueError, match="shape"):
                 localization_report(ts, w, 3, 5.0)
+        with pytest.raises(ValueError, match="two sample times"):
+            localization_report(times[:1], weights[:1], 3, 5.0)
 
     def test_window_shorter_than_a_step(self):
         # a window holding one sample has no time average (the trapezoid
@@ -399,6 +400,10 @@ class TestLocalizationReport:
             probs = _localize(times, amps, 3, 0.5)  # exactly one step
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0)
+
+    def test_no_photonic_weight(self):
+        with pytest.raises(ValueError, match="no photonic weight"):
+            localization_report([0.0, 1.0, 2.0], np.zeros((3, 4)), 2, 2.0)
 
     def test_time_grid_follows_evolve(self):
         # the rule of `evolve`: finite, 1-D, >= 2 samples, from 0, increasing

@@ -1,9 +1,11 @@
 """Static checks of the package source: every import and every module-level
-name is used (a public one may instead be exported), every dataclass field
-is read by the package, no module imports another's private names, the
+name is used (a public one may instead be exported), no private name is
+defined in two modules, the README names every public name, every dataclass
+field is read by the package, no module imports another's private names, the
 public surface names each object once, and each config key is declared
 once."""
 import ast
+import re
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -107,6 +109,21 @@ def test_no_unreferenced_private_names():
 def test_no_unreferenced_public_names():
     # so is a public one that the package neither reads nor exports
     assert _unreferenced_names(private=False) == []
+
+
+def test_no_private_name_is_defined_twice():
+    # two private helpers of one name in two modules read as one rule
+    defined = Counter(n for p in sorted(SRC.glob("*.py"))
+                      for n in _module_names(ast.parse(p.read_text("utf-8")))
+                      if n.startswith("_"))
+    assert [name for name, n in defined.items() if n > 1] == []
+
+
+def test_readme_names_every_public_name():
+    words = set(re.findall(r"\w+", (SRC.parents[1] / "README.md").read_text(
+        encoding="utf-8")))
+    assert [name for name in nhbath.__all__
+            if not name.startswith("__") and name not in words] == []
 
 
 def _dataclass_fields(tree):

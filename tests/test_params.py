@@ -68,6 +68,10 @@ class TestEmitterLayout:
         lay = EmitterLayout(np.array([3, 1]), 0.1)  # drawn by numpy
         assert lay.cells == (3, 1) and type(lay.cells[0]) is int
 
+    def test_no_cells(self):
+        with pytest.raises(ValueError, match="at least one emitter"):
+            EmitterLayout([], 0.1)
+
     def test_duplicate_cells(self):
         with pytest.raises(ValueError, match="distinct"):
             EmitterLayout([2, 2], 0.1)

@@ -63,8 +63,9 @@ class TestTrajectoryFiles:
 
         monkeypatch.setattr(nhbath.runner, "evolve", evolve_spy)
         if negative_zero:  # evolve accepts a grid that starts at -0.0
-            monkeypatch.setattr(nhbath.runner, "_time_grid", lambda cfg: np.r_[
-                -0.0, np.linspace(0.0, cfg.t_max, cfg.n_points)[1:]])
+            monkeypatch.setattr(
+                nhbath.runner, "_sample_times", lambda cfg: np.r_[
+                    -0.0, np.linspace(0.0, cfg.t_max, cfg.n_points)[1:]])
         run_experiment(parse_config(json.dumps(raw)))
         ((n_emitters, times, amps),) = runs
         first = "-0.0" if negative_zero else "0.0"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nhbath import (LatticeParams, band_centroid, bloch_matrix, bloch_spectrum,
+from nhbath import (LatticeParams, bloch_matrix, bloch_spectrum,
                     build_bare_hamiltonian, obc_defectivity, obc_spectrum,
                     point_gap_winding)
 from oracles import dense_obc_eig, hausdorff, mp_obc_eigenvalues, sampled_winding
@@ -148,8 +148,11 @@ class TestDenseSpectrum:
 
 class TestPointGapWinding:
     def test_nontrivial_loop(self):
+        # e0: the mean of the upper band, the larger real part at each q
         p = LatticeParams(8, 1.0, 2.0, 1.0)
-        assert point_gap_winding(p, band_centroid(p, "upper")) == -1
+        pairs = bloch_spectrum(p)[0].reshape(-1, 2)
+        e0 = pairs[np.arange(len(pairs)), pairs.real.argmax(axis=1)].mean()
+        assert point_gap_winding(p, e0) == -1
 
     def test_hermitian_spectrum_cannot_wind(self):
         p = LatticeParams(8, 1.0, 1.0, 0.0)
@@ -193,16 +196,3 @@ class TestPointGapWinding:
                     point_gap_winding(p, on_curve)
         # |b| > |a|, so at most one root lies inside: the winding is 0 or -1
         assert seen == {-1, 0}
-
-
-class TestBandCentroid:
-    def test_loss_split_between_bands(self):
-        p = LatticeParams(8, 1.0, 2.0, 1.0)
-        up = band_centroid(p, "upper")
-        lo = band_centroid(p, "lower")
-        assert up.real > 0 > lo.real
-        assert (up + lo).imag == pytest.approx(-1.0, abs=1e-12)
-
-    def test_bad_band(self):
-        with pytest.raises(ValueError):
-            band_centroid(LatticeParams(8, 1.0, 2.0, 1.0), "middle")
