@@ -19,8 +19,8 @@ from .dynamics import (evolve, stacked_cell_weights, emitter_populations,
                        fit_decay_rate)
 from .effective import (greens_obc, heff_numeric, heff_closed_form,
                         interaction_range)
-from .dressed import (dressed_energy, bulk_dressed_state, edge_dressed_state,
-                      verify_eigenstate, coupling_from_dressed)
+from .dressed import (dressed_energy, dressed_state, verify_eigenstate,
+                      coupling_from_dressed)
 from .config import ExperimentConfig, ConfigError, parse_config, serialize_config
 from .runner import run_experiment
 
@@ -35,8 +35,8 @@ __all__ = [
     "emitter_populations", "photon_density", "cell_weights",
     "localization_report", "fit_decay_rate",
     "greens_obc", "heff_numeric", "heff_closed_form", "interaction_range",
-    "dressed_energy", "bulk_dressed_state", "edge_dressed_state",
-    "verify_eigenstate", "coupling_from_dressed",
+    "dressed_energy", "dressed_state", "verify_eigenstate",
+    "coupling_from_dressed",
     "ExperimentConfig", "ConfigError", "parse_config", "serialize_config",
     "run_experiment",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import EXPERIMENTS, ConfigError, parse_config
@@ -71,7 +72,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.emitters is not None:
-        for msg in weak_coupling_warnings(cfg.lattice, cfg.emitters):
+        lattice = cfg.lattice
+        # the sweep steps gamma_values alone, and g >= gamma/sqrt(N) bites
+        # first at the smallest loss rate
+        if cfg.experiment == "sweep_gamma":
+            lattice = replace(lattice, gamma=min(
+                [gamma for gamma in cfg.gamma_values if gamma > 0] or [cfg.gamma]))
+        for msg in weak_coupling_warnings(lattice, cfg.emitters):
             print(f"warning: {msg}", file=sys.stderr)
     try:
         written = run_experiment(cfg)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .dressed import dressed_state_problems
@@ -17,7 +18,7 @@ _READS = {
     "emit": ("g", "cells", "t_max", "n_points", "t_av"),
     "transfer": ("g", "cells", "excited_emitter", "t_max", "n_points"),
     "heff": ("g", "cells", "heff_method"),
-    "dressed": ("g", "cells", "dressed_kind"),
+    "dressed": ("g", "cells"),
     "sweep_gamma": ("g", "cells", "t_max", "n_points", "t_av", "gamma_values"),
 }
 EXPERIMENTS = tuple(_READS)
@@ -25,8 +26,6 @@ _LATTICE = ("N", "t1", "t2", "gamma", "boundary")  # LatticeParams' arguments
 # read by every experiment and kept in its canonical text (gamma_values when
 # given)
 _COMMON = ("experiment", *_LATTICE, "output_dir", "gamma_values")
-# input a `dressed_state_problems` reason names -> the config key it comes from
-_DRESSED_INPUTS = {"params": "dressed", "kind": "dressed_kind", "cell": "cells"}
 
 
 def _number(whole, minimum, strict):
@@ -90,7 +89,6 @@ KNOWN_KEYS = {
     # loss rates swept by sweep_gamma; an empty list gives none
     "gamma_values": (_reals, None, lambda v: tuple(map(float, v)) or None),
     "heff_method": (_one_of("numeric", "finite", "asymptotic"), "numeric", str),
-    "dressed_kind": (_one_of("bulk", "edge"), "bulk", str),
     "output_dir": (_text, "out", str),  # directory for result files
 }
 
@@ -104,7 +102,7 @@ class ConfigError(ValueError):
                          "\n".join(f"  - {p}" for p in self.problems))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One field per key of `KNOWN_KEYS`; a key the experiment does not read
     holds its default."""
@@ -123,14 +121,13 @@ class ExperimentConfig:
     t_av: float
     gamma_values: Optional[tuple]
     heff_method: str
-    dressed_kind: str
     output_dir: str
 
-    @property
+    @cached_property
     def lattice(self) -> LatticeParams:
         return LatticeParams(*(getattr(self, key) for key in _LATTICE))
 
-    @property
+    @cached_property
     def emitters(self) -> Optional[EmitterLayout]:
         return None if self.cells is None else EmitterLayout(self.cells, self.g)
 
@@ -220,10 +217,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # models the computation rejects, by the rules of the modules that own them
     if lattice is not None and emitters is not None:
-        if "dressed_kind" in val:  # read by dressed only
-            problems += [f"{_DRESSED_INPUTS[arg]}: {reason}" for arg, reason in
-                         dressed_state_problems(lattice, val["dressed_kind"],
-                                                emitters.cells[0])]
+        if experiment == "dressed":
+            problems += [f"dressed: {r}" for r in dressed_state_problems(lattice)]
         if val.get("heff_method") in ("finite", "asymptotic"):
             problems += [f"heff_method: {reason}" for reason in
                          closed_form_problems(lattice, val["heff_method"])]

@@ -8,25 +8,14 @@ from .lattice import rotate_cells
 from .params import LatticeParams, require_index, require_positive
 
 
-def dressed_state_problems(params: LatticeParams, kind: str, cell: int) -> list:
-    """Why no `kind` ("bulk" or "edge") dressed state exists for an emitter
-    in `cell`, as (input, reason) pairs naming the input at fault: "params",
-    "kind" or "cell".  Empty when the state exists."""
-    problems = []
+def dressed_state_problems(params: LatticeParams) -> list:
+    """Why `dressed_state` has no state on this lattice; empty when every
+    cell has one."""
     if not params.uniform:
-        problems.append(("params", "dressed states need t1 == t2 == J"))
-    elif abs(params.gamma - 2 * params.t1) > 1e-12 * params.t1:
-        problems.append(("params", "dressed states exist at gamma = 2J exactly"))
-    last = cell == params.n_cells
-    if kind == "edge" and params.periodic:
-        problems.append(("kind", "the edge dressed state lives on the open chain"))
-    if kind == "edge" and not last:
-        problems.append(("cell", "the edge dressed state belongs to the emitter "
-                                 f"in the last cell, [{params.n_cells}]"))
-    if kind == "bulk" and last and not params.periodic:
-        problems.append(("cell", "the last cell of the open chain "
-                                 "hosts the edge dressed state, not a bulk one"))
-    return problems
+        return ["dressed states need t1 == t2 == J"]
+    if abs(params.gamma - 2 * params.t1) > 1e-12 * params.t1:
+        return ["dressed states exist at gamma = 2J exactly"]
+    return []
 
 
 def dressed_energy(params: LatticeParams, g: float) -> complex:
@@ -35,49 +24,31 @@ def dressed_energy(params: LatticeParams, g: float) -> complex:
     return -1j * g ** 2 / (4 * params.t1)
 
 
-def bulk_dressed_state(params: LatticeParams, source_cell: int,
-                       g: float) -> np.ndarray:
-    """Photonic cloud dressing the emitter in `source_cell`, in the mapped
-    picture (alpha1, beta1, alpha2, ...) relative to a unit emitter
-    amplitude; its energy is `dressed_energy`.
-
-    The cloud occupies beta of the source cell and alpha of the next cell,
-    each with amplitude g/(sqrt(2) gamma) relative to the emitter.  On the
-    open chain the source must not be the last cell (its cloud has nowhere
-    to spill); on the ring any cell works.
+def dressed_state(params: LatticeParams, cell: int, g: float) -> np.ndarray:
+    """Photonic cloud dressing the emitter in `cell`, in the mapped picture
+    (alpha1, beta1, alpha2, ...) relative to a unit emitter amplitude; its
+    energy is `dressed_energy`.  With c = g/(sqrt(2) gamma), cell N of the
+    open chain hosts the edge state, which fills the chain: cell n carries
+    c (-1)^(N+n) times (-1, -i) on (alpha, beta), doubled on alpha of cell 1
+    and on beta of cell N.  Every other cell hosts the bulk state: -i c on
+    beta of `cell` and -c on alpha of the next (cell 1 after N on the ring).
     """
-    params.check_cell(source_cell)
-    if problems := dressed_state_problems(params, "bulk", source_cell):
-        raise ValueError("; ".join(reason for _, reason in problems))
+    params.check_cell(cell)
+    if problems := dressed_state_problems(params):
+        raise ValueError("; ".join(problems))
     require_positive("g", g)
-    gamma = params.gamma
+    N = params.n_cells
+    c = g / (np.sqrt(2) * params.gamma)
     amps = np.zeros(params.n_modes, dtype=complex)
-    nxt = source_cell % params.n_cells + 1
-    amps[params.b_index(source_cell)] = -1j * g / (np.sqrt(2) * gamma)
-    amps[params.a_index(nxt)] = -g / (np.sqrt(2) * gamma)
-    return amps
-
-
-def edge_dressed_state(params: LatticeParams, g: float) -> np.ndarray:
-    """Photonic cloud dressing an emitter in the last cell of the open
-    chain, laid out as `bulk_dressed_state`'s.
-
-    The cloud extends over the whole chain with staggered-sign
-    amplitudes g/(sqrt(2) gamma): cell n carries (-1)^(N+n) times
-    (-1, -i) on (alpha, beta), doubled on alpha of cell 1 and on beta of
-    cell N.
-    """
-    if problems := dressed_state_problems(params, "edge", params.n_cells):
-        raise ValueError("; ".join(reason for _, reason in problems))
-    require_positive("g", g)
-    N, gamma = params.n_cells, params.gamma
-    c = g / (np.sqrt(2) * gamma)
-    ph = (-1) ** (N + np.arange(1, N + 1))
-    amps = np.zeros(params.n_modes, dtype=complex)
-    amps[0::2] = -c * ph  # alpha of cells 1..N
-    amps[1::2] = -1j * c * ph  # beta of cells 1..N
-    amps[0] *= 2
-    amps[-1] *= 2
+    if cell == N and not params.periodic:
+        ph = (-1) ** (N + np.arange(1, N + 1))
+        amps[0::2] = -c * ph  # alpha of cells 1..N
+        amps[1::2] = -1j * c * ph  # beta of cells 1..N
+        amps[0] *= 2
+        amps[-1] *= 2
+    else:
+        amps[params.b_index(cell)] = -1j * c
+        amps[params.a_index(cell % N + 1)] = -c
     return amps
 
 

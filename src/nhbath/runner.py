@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, serialize_config
-from .dressed import bulk_dressed_state, edge_dressed_state
+from .dressed import dressed_state
 from .dynamics import (cell_weights, emitter_populations, evolve,
                        localization_report, photon_density,
                        stacked_cell_weights)
@@ -137,10 +137,7 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
 
 
 def _dressed_files(cfg: ExperimentConfig) -> dict:
-    if cfg.dressed_kind == "bulk":
-        amps = bulk_dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
-    else:
-        amps = edge_dressed_state(cfg.lattice, cfg.g)
+    amps = dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
     labels = [f"{label}{cell}" for cell in range(1, cfg.N + 1)
               for label in ("alpha", "beta")]
     return {"dressed.csv": _csv(

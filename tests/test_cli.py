@@ -31,8 +31,8 @@ def spectrum_config(tmp_path, **extra):
     return write_config(tmp_path, **raw)
 
 
-# sha256 of dressed.csv for the N=6 open chain at gamma = 2J, g = 0.05, with
-# dressed_kind "edge" and cells [6]
+# sha256 of dressed.csv for the N=6 open chain at gamma = 2J, g = 0.05 and
+# cells [6], the edge state
 EDGE_N6_SHA256 = "55a6e59d35481417c0d777f782730b677d2f5a82d435b0837f0527e55c26e81f"
 
 
@@ -106,9 +106,9 @@ class TestCli:
     @pytest.mark.parametrize("command, overrides, key", [
         ("dressed", ["gamma=1.0"], "dressed"),
         ("dressed", ["t2=1.5"], "dressed"),
-        ("dressed", ["dressed_kind=\"edge\"", "boundary=\"periodic\""],
-         "dressed_kind"),
-        ("dressed", ["cells=[8]"], "cells"),
+        # gamma = 2 t1 with t1 != t2, and gamma != 2J on the ring
+        ("dressed", ["t1=1.5", "gamma=3.0"], "dressed"),
+        ("dressed", ["boundary=\"periodic\"", "gamma=0.0"], "dressed"),
         ("heff", ["heff_method=\"finite\"", "t2=1.5"], "heff_method"),
         ("heff", ["heff_method=\"asymptotic\"", "t2=1.5"], "heff_method"),
         ("heff", ["heff_method=\"finite\"", "gamma=0.0"], "heff_method"),
@@ -175,20 +175,43 @@ class TestCli:
                 assert err.count(m) == 1, (method, m)
             assert err.count("warning") == len(msgs)
 
-    @pytest.mark.parametrize("cells, code", [([2], 2), ([6], 0)])
-    def test_edge_dressed_state_names_the_last_cell(self, tmp_path, capsys,
-                                                    cells, code):
+    @pytest.mark.parametrize("cell", [2, 6])
+    def test_edge_dressed_state_names_the_last_cell(self, tmp_path, cell):
         cfg = write_config(tmp_path, N=6, t1=1.0, t2=1.0, gamma=2.0,
-                           boundary="open", g=0.05, cells=cells,
+                           boundary="open", g=0.05, cells=[cell],
+                           output_dir=str(tmp_path / "out"))
+        assert main(["dressed", "--config", cfg]) == 0
+        path = tmp_path / "out" / "dressed.csv"
+        if cell == 6:  # frozen bytes of the N=6 edge state
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == EDGE_N6_SHA256
+        else:  # a bulk cloud: beta of the cell and alpha of the next
+            rows = list(csv.reader(path.open(encoding="utf-8")))[2:]
+            assert [r[0] for r in rows if float(r[3])] == ["beta2", "alpha3"]
+
+    def test_dressed_kind_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=6, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[6],
                            dressed_kind="edge", output_dir=str(tmp_path / "out"))
-        assert main(["dressed", "--config", cfg]) == code
-        if code:
-            assert "cells" in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
-        else:  # frozen bytes of the N=6 edge state
-            digest = hashlib.sha256(
-                (tmp_path / "out" / "dressed.csv").read_bytes()).hexdigest()
-            assert digest == EDGE_N6_SHA256
+        assert main(["dressed", "--config", cfg]) == 2
+        assert "unknown key 'dressed_kind'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma, gamma_values, warned", [
+        (0.01, [2.0, 4.0], False), (2.0, [0.01, 0.02], True),
+        (2.0, [0.0, 0.01], True), (0.01, [0.0], True)])
+    def test_sweep_warns_at_its_smallest_loss_rate(self, tmp_path, capsys,
+                                                   gamma, gamma_values, warned):
+        # g = 0.05 >= gamma/sqrt(N) only below gamma = 0.5; the sweep steps
+        # gamma_values alone, so its smallest positive value is checked, and
+        # the config's gamma only where there is none
+        cfg = write_config(tmp_path, N=100, t1=1.0, t2=1.0, gamma=gamma,
+                           boundary="periodic", g=0.05, cells=[50],
+                           gamma_values=gamma_values, t_max=1.0, n_points=3,
+                           t_av=1.0, output_dir=str(tmp_path / "out"))
+        assert main(["sweep-gamma", "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        assert ("gamma/sqrt(N) = 0.001;" in err) == warned
+        assert err.count("warning") == warned
 
     @pytest.mark.parametrize("command, name, raw, digest", [
         ("spectrum", "spectrum.csv",
@@ -330,8 +353,7 @@ def _emitter_chain(draw):
                 n_points=11, t_av=2.0,
                 gamma_values=draw(st.lists(gamma, min_size=1, max_size=3)),
                 heff_method=draw(st.sampled_from(["numeric", "finite",
-                                                  "asymptotic"])),
-                dressed_kind=draw(st.sampled_from(["bulk", "edge"])))
+                                                  "asymptotic"])))
 
 
 def _no_constant(name):

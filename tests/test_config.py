@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhbath import (ConfigError, EmitterLayout, ExperimentConfig,
-                    LatticeParams, bulk_dressed_state, edge_dressed_state,
-                    heff_closed_form, heff_numeric, parse_config,
-                    serialize_config)
+                    LatticeParams, dressed_state, heff_closed_form,
+                    heff_numeric, parse_config, serialize_config)
 from nhbath.config import EXPERIMENTS, KNOWN_KEYS
 
 MINIMAL_SPECTRUM = ('{"N": 8, "t1": 1, "t2": 1, "gamma": 1, '
@@ -59,7 +59,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("experiment, key, default", [
         ("spectrum", "boundary", "periodic"), ("heff", "heff_method", "numeric"),
-        ("dressed", "dressed_kind", "bulk"), ("emit", "output_dir", "out")])
+        ("emit", "n_points", 201), ("emit", "output_dir", "out")])
     def test_null_optional_key_takes_its_default(self, experiment, key, default):
         raw = {"experiment": experiment, "N": 8, "t1": 1.0, "t2": 1.0,
                "gamma": 2.0, "g": 0.05, "cells": [3]}
@@ -100,6 +100,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gamma_values"):
             parse_config(json.dumps(raw))
 
+    @pytest.mark.parametrize("experiment", ["emit", "dressed", "sweep_gamma"])
+    def test_single_emitter_experiments_take_one_cell(self, experiment):
+        raw = {"experiment": experiment, "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3, 4], "gamma_values": [1.0]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == [
+            f"cells: experiment {experiment} takes exactly one emitter"]
+
+    def test_window_longer_than_the_run_is_an_error(self):
+        raw = {"experiment": "emit", "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3], "t_max": 2.0,
+               "t_av": 3.0}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == [
+            "t_av: averaging window 3.0 exceeds t_max 2.0"]
+
     def test_fig2_style_sweep_round_trips(self):
         raw = {"experiment": "sweep_gamma", "N": 100, "t1": 1.0, "t2": 1.0,
                "gamma": 2.0, "boundary": "open", "g": 0.1, "cells": [15],
@@ -120,7 +138,7 @@ class TestParseConfig:
             "emit": {"t_max": 10.0, "n_points": 51, "t_av": 10.0},
             "transfer": {"cells": [3, 4], "excited_emitter": 2},
             "heff": {"heff_method": "finite"},
-            "dressed": {"dressed_kind": "edge", "cells": [9]},
+            "dressed": {"cells": [9]},
             "sweep_gamma": {"gamma_values": [1.0, 2.0]},
         }
         for experiment, extra in variants.items():
@@ -134,8 +152,7 @@ class TestParseConfig:
         full = {"N": 9, "t1": 1.0, "t2": 1.0, "gamma": 2.0, "boundary": "open",
                 "g": 0.05, "cells": [3], "excited_emitter": 1, "t_max": 3.0,
                 "n_points": 31, "t_av": 3.0, "gamma_values": [1.0, 2.0],
-                "heff_method": "finite", "dressed_kind": "bulk",
-                "output_dir": "o"}
+                "heff_method": "finite", "output_dir": "o"}
         common = {"experiment", "N", "t1", "t2", "gamma", "boundary",
                   "output_dir", "gamma_values"}
         emitters = {"g", "cells"}
@@ -146,8 +163,7 @@ class TestParseConfig:
                          common | emitters | {"excited_emitter", "t_max",
                                               "n_points"}),
             "heff": ({}, common | emitters | {"heff_method"}),
-            "dressed": ({"dressed_kind": "edge", "cells": [9]},
-                        common | emitters | {"dressed_kind"}),
+            "dressed": ({"cells": [9]}, common | emitters),
             "sweep_gamma": ({}, common | emitters | {"t_max", "n_points", "t_av"}),
         }
         assert set(cases) == set(EXPERIMENTS)
@@ -175,18 +191,34 @@ class TestParseConfig:
 
     def test_join_rules_see_only_valid_values(self):
         # the t_av window is not compared against a default standing in for
-        # the invalid t_max, nor the dressed model checked for an invalid kind
+        # the invalid t_max, nor the dressed model checked without a valid gamma
         raw = {"experiment": "emit", "N": 8, "t1": 1.0, "t2": 1.0,
                "gamma": 2.0, "g": 0.05, "cells": [3], "t_max": -1, "t_av": 30}
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(raw))
         assert exc.value.problems == ["t_max: must be > 0, got -1"]
-        raw = dict(raw, experiment="dressed", gamma=1.0, dressed_kind="x")
+        raw = dict(raw, experiment="dressed", gamma="x")
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(raw))
         assert exc.value.problems == [
+            "gamma: expected a number, got 'x'", "t_max: must be > 0, got -1"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(dict(raw, gamma=1.0)))
+        assert exc.value.problems == [
             "t_max: must be > 0, got -1",
-            "dressed_kind: must be one of ('bulk', 'edge'), got 'x'"]
+            "dressed: dressed states exist at gamma = 2J exactly"]
+
+    def test_config_is_frozen_and_builds_its_models_once(self):
+        raw = {"experiment": "heff", "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 1.0, "g": 0.05, "cells": [3, 5]}
+        cfg, fresh = (parse_config(json.dumps(raw)) for _ in range(2))
+        assert cfg.lattice is cfg.lattice and cfg.emitters is cfg.emitters
+        assert cfg.lattice == LatticeParams(8, 1.0, 1.0, 1.0, "periodic")
+        assert cfg.emitters.cells == (3, 5)
+        # the cached models stay out of equality and the canonical text
+        assert cfg == fresh and serialize_config(cfg) == serialize_config(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.g = 0.1
 
     def test_empty_gamma_values_gives_none(self):
         raw = json.loads(MINIMAL_SPECTRUM)
@@ -201,15 +233,12 @@ class TestParseConfig:
 
 
 def _library_computes(lattice, cell, option):
-    """Whether the library computes `option` (a dressed_kind or heff_method)
-    for one emitter in `cell`."""
+    """Whether the library computes `option` (a heff_method, or None for the
+    dressed state) for one emitter in `cell`."""
     layout = EmitterLayout([cell], 0.05)
     try:
-        if option == "bulk":
-            bulk_dressed_state(lattice, cell, 0.05)
-        elif option == "edge":  # the edge state has its emitter in cell N
-            edge_dressed_state(lattice, 0.05)
-            return cell == lattice.n_cells
+        if option is None:
+            dressed_state(lattice, cell, 0.05)
         elif option == "numeric":
             heff_numeric(lattice, layout)
         else:
@@ -220,9 +249,8 @@ def _library_computes(lattice, cell, option):
 
 
 @pytest.mark.parametrize("experiment, key, option", [
-    ("dressed", "dressed_kind", "bulk"), ("dressed", "dressed_kind", "edge"),
-    ("heff", "heff_method", "numeric"), ("heff", "heff_method", "finite"),
-    ("heff", "heff_method", "asymptotic")])
+    ("dressed", None, None), ("heff", "heff_method", "numeric"),
+    ("heff", "heff_method", "finite"), ("heff", "heff_method", "asymptotic")])
 def test_config_accepts_exactly_what_the_library_computes(experiment, key,
                                                           option):
     verdicts = set()
@@ -231,7 +259,9 @@ def test_config_accepts_exactly_what_the_library_computes(experiment, key,
         for cell in sorted({1, (n + 1) // 2, n}):
             raw = {"experiment": experiment, "N": n, "t1": 1.0, "t2": t2,
                    "gamma": gamma, "boundary": boundary, "g": 0.05,
-                   "cells": [cell], key: option}
+                   "cells": [cell]}
+            if key is not None:
+                raw[key] = option
             try:
                 parse_config(json.dumps(raw))
                 accepted = True

@@ -1,10 +1,13 @@
 """Static checks of the package source: every import and every module-level
 name is used (a public one may instead be exported), no private name is
-defined in two modules, the README names every public name, every dataclass
-field is read by the package, no module imports another's private names, the
-public surface names each object once, and each config key is declared
-once."""
+defined in two modules, the README names every public name, shows each call
+with an arity the function accepts and each `module.name` as one that
+resolves, every dataclass field is read by the package, no module imports
+another's private names, the public surface names each object once, and
+each config key is declared once."""
 import ast
+import importlib
+import inspect
 import re
 from collections import Counter
 from dataclasses import fields
@@ -119,11 +122,50 @@ def test_no_private_name_is_defined_twice():
     assert [name for name, n in defined.items() if n > 1] == []
 
 
+def _readme():
+    return (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_names_every_public_name():
-    words = set(re.findall(r"\w+", (SRC.parents[1] / "README.md").read_text(
-        encoding="utf-8")))
+    words = set(re.findall(r"\w+", _readme()))
     assert [name for name in nhbath.__all__
             if not name.startswith("__") and name not in words] == []
+
+
+def _modules():
+    return {p.stem: importlib.import_module(f"nhbath.{p.stem}")
+            for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+
+
+def _accepts(func, n_args):
+    try:
+        inspect.signature(func).bind(*range(n_args))
+    except TypeError:
+        return False
+    return True
+
+
+def test_readme_calls_match_the_package_signatures():
+    # a signature the README shows is one a reader will type; the backticks
+    # of `name(a, b, ...)` may span a line break
+    modules = _modules()
+    calls = re.findall(r"`(\w+)\(([^`()]*)\)`", _readme())
+    assert calls  # the scan sees the README's signatures
+    wrong = []
+    for name, args in calls:
+        funcs = [getattr(m, name) for m in modules.values() if hasattr(m, name)]
+        n_args = len(args.split(",")) if args.strip() else 0
+        if not funcs or not all(_accepts(f, n_args) for f in funcs):
+            wrong.append(f"{name}({args})")
+    assert wrong == []
+
+
+def test_readme_module_references_resolve():
+    modules = _modules()
+    refs = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", _readme())
+            if m in modules]
+    assert refs  # the scan sees the README's module references
+    assert [f"{m}.{n}" for m, n in refs if not hasattr(modules[m], n)] == []
 
 
 def _dataclass_fields(tree):
