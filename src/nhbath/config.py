@@ -215,8 +215,9 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"t_av: averaging window {t_av} is shorter than "
                             f"the time step {step}")
 
-    # models the computation rejects, by the rules of the modules that own them
-    if lattice is not None and emitters is not None:
+    # models the computation rejects, by the rules of the modules that own
+    # them; both read the lattice alone
+    if lattice is not None:
         if experiment == "dressed":
             problems += [f"dressed: {r}" for r in dressed_state_problems(lattice)]
         if val.get("heff_method") in ("finite", "asymptotic"):

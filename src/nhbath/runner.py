@@ -24,7 +24,10 @@ from .spectral import bloch_spectrum, obc_spectrum
 def _csv(header, columns) -> str:
     """CSV text from equal-length columns.  A list is a column of strings,
     written as given; anything else is read as floats and written in the
-    shortest round-trip decimal form (<= 17 significant digits)."""
+    shortest round-trip decimal form (<= 17 significant digits).  Every
+    value as a Python float and every row's text are held at once, several
+    times the size of the text: fine for the small files, while the
+    time-major ones go through `_time_major_csv`."""
     cols = [c if isinstance(c, list)
             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
@@ -38,6 +41,19 @@ def _reprs(values) -> list:
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = list(map(repr, distinct.view(float).tolist()))
     return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _time_major_csv(header, times, values, first) -> list:
+    """CSV of the (n_steps, width) `values` as (t, index, value) rows,
+    time-major, index counted from `first`, every number as `_csv` writes
+    it; one block of text per time sample.  One row template, every index
+    label in it, serves every sample, so only one sample's values are held
+    as Python objects at a time."""
+    template = "".join(f"\0,{float(k)!r},%r\n"
+                       for k in range(first, first + values.shape[1]))
+    return [",".join(header) + "\n"] + [
+        template.replace("\0", repr(t)) % tuple(row.tolist())
+        for t, row in zip(times.tolist(), values)]
 
 
 def _localization_csv(gammas, probs) -> str:
@@ -66,9 +82,9 @@ def _spectrum_files(cfg: ExperimentConfig) -> dict:
         # eigenvalues pair up with equal real parts
         evs = evs[np.lexsort((evs.imag, evs.real))]
         label = np.arange(evs.size)
-    return {"spectrum.csv": _csv(("re_E", "im_E", "boundary", "q_or_index"),
-                                 (evs.real, evs.imag, [cfg.boundary] * evs.size,
-                                  label))}
+    return {"spectrum.csv": [_csv(("re_E", "im_E", "boundary", "q_or_index"),
+                                  (evs.real, evs.imag, [cfg.boundary] * evs.size,
+                                   label))]}
 
 
 def _trajectory_files(cfg: ExperimentConfig) -> dict:
@@ -79,24 +95,21 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
     amps = evolve(H, psi0, layout.n_emitters, times)
     pops = emitter_populations(amps, layout.n_emitters)
     dens = photon_density(amps, layout.n_emitters)
+    del amps  # not read again: 5 MB at N = 400 held while formatting
 
-    ts = [repr(t) for t in times.tolist()]
-
-    def samples(values, first):  # (t, index, value) rows, time-major
-        n_steps, width = values.shape
-        # each distinct time and index is formatted once, as _csv would
-        idx = [repr(float(k)) for k in range(first, first + width)]
-        return [s for s in ts for _ in range(width)], idx * n_steps, values.ravel()
-
+    # one block per time sample: the text is the run's largest object, and
+    # formatting it all at once would hold several times its size
     files = {
-        "populations.csv": _csv(("t", "emitter_index", "p"), samples(pops, 1)),
-        "density.csv": _csv(("t", "site_index", "density"), samples(dens, 0)),
+        "populations.csv": _time_major_csv(("t", "emitter_index", "p"),
+                                           times, pops, 1),
+        "density.csv": _time_major_csv(("t", "site_index", "density"),
+                                       times, dens, 0),
     }
     if cfg.experiment == "emit":
         probs = localization_report(times, cell_weights(dens),
                                     cfg.cells[0], cfg.t_av, lattice.periodic)
-        files["localization.csv"] = _localization_csv((cfg.gamma,),
-                                                      probs[None])
+        files["localization.csv"] = [_localization_csv((cfg.gamma,),
+                                                       probs[None])]
     return files
 
 
@@ -129,10 +142,10 @@ def _heff_files(cfg: ExperimentConfig) -> dict:
         '"entries": []', f'"entries": [\n{pairs}\n  ]', 1)
     labels = [str(c) for c in cfg.cells]
     return {
-        "heff.json": text + "\n",
-        "heff.csv": _csv(("m", "n", "re", "im"),
-                         ([m for m in labels for _ in labels],
-                          labels * len(labels), re, im)),
+        "heff.json": [text + "\n"],
+        "heff.csv": [_csv(("m", "n", "re", "im"),
+                          ([m for m in labels for _ in labels],
+                           labels * len(labels), re, im))],
     }
 
 
@@ -140,10 +153,10 @@ def _dressed_files(cfg: ExperimentConfig) -> dict:
     amps = dressed_state(cfg.lattice, cfg.cells[0], cfg.g)
     labels = [f"{label}{cell}" for cell in range(1, cfg.N + 1)
               for label in ("alpha", "beta")]
-    return {"dressed.csv": _csv(
+    return {"dressed.csv": [_csv(
         ("site_label", "re_amp", "im_amp", "modulus"),
         (["emitter", *labels], np.r_[1.0, amps.real], np.r_[0.0, amps.imag],
-         np.r_[1.0, np.abs(amps)]))}
+         np.r_[1.0, np.abs(amps)]))]}
 
 
 def _sweep_files(cfg: ExperimentConfig) -> dict:
@@ -158,7 +171,7 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
     probs = np.array([localization_report(times, w, cfg.cells[0], cfg.t_av,
                                           lattice.periodic)
                       for w in weights.transpose(1, 0, 2)])
-    return {"sweep.csv": _localization_csv(cfg.gamma_values, probs)}
+    return {"sweep.csv": [_localization_csv(cfg.gamma_values, probs)]}
 
 
 _FILES = {
@@ -174,9 +187,10 @@ _FILES = {
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the configured experiment and write its datasets.
 
-    All results are computed before anything is written, so a failing run
-    leaves no partial files.  Returns the list of paths written (the
-    manifest last).  Identical configs produce byte-identical files.
+    All results are computed, and every file's text built as a list of
+    blocks, before anything is written, so a failing run leaves no partial
+    files.  Returns the list of paths written (the manifest last).
+    Identical configs produce byte-identical files.
     """
     files = _FILES[cfg.experiment](cfg)
     canon = serialize_config(cfg)
@@ -191,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     for name in sorted(files):
         path = os.path.join(cfg.output_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(files[name])
+            fh.writelines(files[name])
         written.append(path)
     mpath = os.path.join(cfg.output_dir, "manifest.json")
     with open(mpath, "w", encoding="utf-8", newline="\n") as fh:

@@ -208,6 +208,21 @@ class TestParseConfig:
             "t_max: must be > 0, got -1",
             "dressed: dressed states exist at gamma = 2J exactly"]
 
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"experiment": "dressed"},
+         "dressed: dressed states exist at gamma = 2J exactly"),
+        ({"experiment": "heff", "heff_method": "finite", "t2": 1.5},
+         "heff_method: finite closed forms require t1 == t2")])
+    def test_model_rules_need_only_the_lattice(self, overrides, problem):
+        # the model rules read the lattice, so an invalid cells list does
+        # not hide them
+        raw = {"N": 8, "t1": 1, "t2": 1, "gamma": 1, "g": 0.05, "cells": "x",
+               **overrides}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert exc.value.problems == [
+            "cells: expected a non-empty list of integers, got 'x'", problem]
+
     def test_config_is_frozen_and_builds_its_models_once(self):
         raw = {"experiment": "heff", "N": 8, "t1": 1.0, "t2": 1.0,
                "gamma": 1.0, "g": 0.05, "cells": [3, 5]}

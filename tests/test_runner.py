@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import nhbath.runner
 from nhbath import (emitter_populations, parse_config, photon_density,
                     run_experiment)
 from nhbath.cli import main
-from nhbath.runner import _csv, _reprs
+from nhbath.runner import _FILES, _csv, _reprs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,6 +79,50 @@ class TestTrajectoryFiles:
             times, photon_density(amps, n_emitters), 0)
         assert dens.splitlines()[1] == f"{first},0.0,0.0"
         assert dens.splitlines()[13].startswith("0.5,0.0,")
+
+
+_SMALL = {"N": 6, "t1": 1.0, "t2": 1.0, "gamma": 2.0, "boundary": "open",
+          "g": 0.1, "t_max": 3.0, "n_points": 7, "t_av": 3.0}
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("spectrum", {}), ("emit", {"cells": [3]}),
+    ("transfer", {"cells": [2, 5], "excited_emitter": 2}),
+    ("heff", {"cells": [2, 4], "gamma": 1.5}), ("dressed", {"cells": [3]}),
+    ("sweep_gamma", {"cells": [3], "gamma_values": [1.0, 2.0]})])
+def test_files_are_lists_of_blocks_written_as_given(tmp_path, experiment,
+                                                    extra):
+    cfg = parse_config(json.dumps({**_SMALL, **extra, "experiment": experiment,
+                                   "output_dir": str(tmp_path)}))
+    files = _FILES[experiment](cfg)
+    assert files and all(isinstance(blocks, list) and blocks
+                         and all(isinstance(b, str) for b in blocks)
+                         for blocks in files.values())
+    run_experiment(cfg)
+    for name, blocks in files.items():
+        assert (tmp_path / name).read_text() == "".join(blocks)
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("emit", {"cells": [50], "t_av": 20.0}),
+    ("transfer", {"cells": [30, 60], "excited_emitter": 1})])
+def test_trajectory_text_is_built_in_about_its_own_size(experiment, extra):
+    # formatting every value at once held 6.5 (emit) and 7.1 (transfer)
+    # times the text; one block per time sample holds the text, the
+    # populations and densities and one sample's values, 1.8 and 1.4 times
+    cfg = parse_config(json.dumps({
+        "experiment": experiment, "N": 100, "t1": 1.0, "t2": 1.0,
+        "gamma": 2.0, "boundary": "open", "g": 0.1, "t_max": 20.0,
+        "n_points": 201, **extra}))
+    _FILES[experiment](cfg)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        files = _FILES[experiment](cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = sum(len(b) for blocks in files.values() for b in blocks)
+    assert peak <= 3 * text, peak / text
 
 
 def _heff_raw(tmp_path, method, boundary, cells):
