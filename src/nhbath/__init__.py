@@ -15,8 +15,8 @@ from .lattice import (build_bare_hamiltonian, build_total_hamiltonian,
 from .spectral import (bloch_matrix, bloch_spectrum, obc_spectrum,
                        obc_defectivity, point_gap_winding)
 from .dynamics import (evolve, stacked_cell_weights, emitter_populations,
-                       photon_density, cell_weights, localization_report,
-                       fit_decay_rate)
+                       photon_density, cell_weights, time_average,
+                       localization_report, fit_decay_rate)
 from .effective import (greens_obc, heff_numeric, heff_closed_form,
                         interaction_range)
 from .dressed import (dressed_energy, dressed_state, verify_eigenstate,
@@ -32,7 +32,7 @@ __all__ = [
     "bloch_matrix", "bloch_spectrum", "obc_spectrum", "obc_defectivity",
     "point_gap_winding",
     "evolve", "stacked_cell_weights",
-    "emitter_populations", "photon_density", "cell_weights",
+    "emitter_populations", "photon_density", "cell_weights", "time_average",
     "localization_report", "fit_decay_rate",
     "greens_obc", "heff_numeric", "heff_closed_form", "interaction_range",
     "dressed_energy", "dressed_state", "verify_eigenstate",

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array, diags_array, eye_array, kron
@@ -148,13 +148,16 @@ def evolve(hamiltonian, initial, n_emitters: int,
 
 def stacked_cell_weights(hamiltonian, gammas: Sequence[float], initial,
                          n_emitters: int,
-                         times: Sequence[float]) -> np.ndarray:
-    """Photon weight per cell of every system, shape (n_steps, n_gammas, N).
+                         times: Sequence[float]) -> Iterator[np.ndarray]:
+    """Photon weight per cell of every system, one (n_gammas, N) array per
+    sample time, yielded as the stepper reaches it.
 
     System k is `hamiltonian` plus the loss -i gammas[k] on every b site
     (photon index n_emitters + 2c + 1 of cell c).  Propagates `initial` in
     each, as and under the checks of `evolve`, as the columns of one block
-    of `_taylor_steps`, and keeps only the cell weights of each step.
+    of `_taylor_steps`.  The checks run at the call and the stepping as the
+    samples are drawn, so a consumer that stops early (`time_average`)
+    steps no further.
     """
     H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
     gammas = np.asarray(gammas, dtype=float)
@@ -165,11 +168,47 @@ def stacked_cell_weights(hamiltonian, gammas: Sequence[float], initial,
     loss = np.zeros((psi0.size, gammas.size), dtype=complex)
     loss[n_emitters + 1::2] = -1j * gammas
     block = np.repeat(psi0[:, None], gammas.size, axis=1)
-    weights = np.empty((times.size, gammas.size,
-                        (psi0.size - n_emitters) // 2))
-    for k, psi in enumerate(_taylor_steps(H, loss, block, times)):
-        weights[k] = cell_weights(np.abs(psi[n_emitters:].T) ** 2)
-    return weights
+    return (cell_weights(np.abs(psi[n_emitters:].T) ** 2)
+            for psi in _taylor_steps(H, loss, block, times))
+
+
+def time_average(times: Sequence[float], samples,
+                 t_average: float) -> np.ndarray:
+    """Trapezoid average over [0, t_average] of one array per sample time.
+
+    `samples` is an (n_steps, ...) array or any iterable that yields the
+    arrays in time order, such as `stacked_cell_weights`.  The window must
+    be positive, within the grid's span (a grid as `evolve` takes) and hold
+    at least two samples; it ends at the last sample at or before
+    t_average, and no later sample is drawn.  The interval terms
+    dt_k (w_(k+1) + w_k) / 2.0 are added in k order and their sum divided
+    by the window's span: `np.trapezoid`'s arithmetic along axis 0 for
+    samples of more than one element (a 1-D array numpy sums pairwise).
+    """
+    require_positive("t_average", t_average)
+    times = _time_grid(times)
+    if t_average > times[-1] + 1e-12:
+        raise ValueError("t_average exceeds the sampled time span")
+    n = int(np.searchsorted(times, t_average + 1e-12, side="right"))
+    if n < 2:
+        raise ValueError(f"t_average {t_average} is shorter than the first "
+                         f"time step {times[1]}")
+    if hasattr(samples, "__len__") and len(samples) != times.size:
+        raise ValueError(f"need one sample per time, {times.size}, "
+                         f"got {len(samples)}")
+    k, prev = -1, None
+    for k, w in zip(range(n), samples):  # draws no sample past n - 1
+        w = np.asarray(w, dtype=float)
+        if k:
+            if w.shape != prev.shape:
+                raise ValueError(f"sample {k} has shape {w.shape}, "
+                                 f"not {prev.shape}")
+            term = (times[k] - times[k - 1]) * (w + prev) / 2.0
+            total = term if k == 1 else total + term
+        prev = w
+    if k < n - 1:
+        raise ValueError(f"need {n} samples in the window, got {k + 1}")
+    return total / (times[n - 1] - times[0])
 
 
 def emitter_populations(amplitudes: np.ndarray, n_emitters: int) -> np.ndarray:
@@ -191,44 +230,35 @@ def cell_weights(density: np.ndarray) -> np.ndarray:
     return density[..., 0::2] + density[..., 1::2]
 
 
-def localization_report(times: Sequence[float], weights: np.ndarray,
-                        atom_cell: int, t_average: float,
+def localization_report(weights: np.ndarray, atom_cell: int,
                         periodic: bool = False) -> np.ndarray:
-    """Time-averaged split of the photonic weight around an emitter's cell.
+    """Split of the photonic weight around an emitter's cell.
 
-    Averages the cell weights, shape (n_steps, N) at `times` (see
-    `cell_weights`; a grid as `evolve` takes), over [0, t_average] and
-    returns the float array (P_loc, P_L, P_R).  The probabilities are
-    conditioned on the photon being in the field and sum to 1.  "Local"
-    means the emitter's cell and the one to its right (cells are 1-based;
-    on the ring, `periodic`, the local pair of cell N is (N, 1)), the pair
-    that hosts the bound photonic cloud in the fully directional regime;
-    left and right are the other cells below and above the emitter's.
+    Takes time-averaged cell weights, shape (..., N) (see `time_average`
+    and `cell_weights`), and returns the float array (..., 3) of
+    (P_loc, P_L, P_R) for each.  The probabilities are conditioned on the
+    photon being in the field and sum to 1.  "Local" means the emitter's
+    cell and the one to its right (cells are 1-based; on the ring,
+    `periodic`, the local pair of cell N is (N, 1)), the pair that hosts
+    the bound photonic cloud in the fully directional regime; left and
+    right are the other cells below and above the emitter's.
     """
-    require_positive("t_average", t_average)
-    times = _time_grid(times)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[0] != times.size:
-        raise ValueError(f"need cell weights of shape (n_steps, N) at the "
-                         f"{times.size} sample times, got {weights.shape}")
-    if t_average > times[-1] + 1e-12:
-        raise ValueError("t_average exceeds the sampled time span")
-    n = np.searchsorted(times, t_average + 1e-12, side="right")
-    if n < 2:
-        raise ValueError(f"t_average {t_average} is shorter than the first "
-                         f"time step {times[1]}")
-    n_cells = weights.shape[1]
+    if np.ndim(weights) < 1:
+        raise ValueError("need cell weights of shape (..., N), got a scalar")
+    # C order: numpy sums each row pairwise only when the row is contiguous
+    weights = np.ascontiguousarray(weights, dtype=float)
+    n_cells = weights.shape[-1]
     require_index("atom_cell", atom_cell, n_cells)
-    avg = np.trapezoid(weights[:n], times[:n], axis=0) / (times[n - 1]
-                                                          - times[0])
     c = atom_cell - 1
     wrap = periodic and atom_cell == n_cells  # cell 1 is cell N's partner
-    local = avg[c] + (avg[(c + 1) % n_cells] if c + 1 < n_cells or wrap else 0.0)
-    left, right = avg[int(wrap):c].sum(), avg[c + 2:].sum()
+    local = weights[..., c] + (weights[..., (c + 1) % n_cells]
+                               if c + 1 < n_cells or wrap else 0.0)
+    left = weights[..., int(wrap):c].sum(axis=-1)
+    right = weights[..., c + 2:].sum(axis=-1)
     total = local + left + right
-    if total <= 0:
+    if (total <= 0).any():
         raise ValueError("no photonic weight accumulated; nothing to localize")
-    return np.array([local, left, right]) / total
+    return np.stack([local, left, right], axis=-1) / total[..., None]
 
 
 def fit_decay_rate(times: Sequence[float], population: Sequence[float],

@@ -14,7 +14,7 @@ from .config import ExperimentConfig, serialize_config
 from .dressed import dressed_state
 from .dynamics import (cell_weights, emitter_populations, evolve,
                        localization_report, photon_density,
-                       stacked_cell_weights)
+                       stacked_cell_weights, time_average)
 from .effective import heff_closed_form, heff_numeric
 from .lattice import build_total_hamiltonian
 from .params import excited_emitter_state
@@ -106,8 +106,9 @@ def _trajectory_files(cfg: ExperimentConfig) -> dict:
                                        times, dens, 0),
     }
     if cfg.experiment == "emit":
-        probs = localization_report(times, cell_weights(dens),
-                                    cfg.cells[0], cfg.t_av, lattice.periodic)
+        probs = localization_report(
+            time_average(times, cell_weights(dens), cfg.t_av), cfg.cells[0],
+            lattice.periodic)
         files["localization.csv"] = [_localization_csv((cfg.gamma,),
                                                        probs[None])]
     return files
@@ -163,14 +164,12 @@ def _sweep_files(cfg: ExperimentConfig) -> dict:
     times = _sample_times(cfg)
     lattice, layout = cfg.lattice, cfg.emitters
     H = build_total_hamiltonian(replace(lattice, gamma=0.0), layout)
-    weights = stacked_cell_weights(H, cfg.gamma_values,
-                                   excited_emitter_state(lattice, layout),
-                                   layout.n_emitters, times)
-    # one average per gamma: averaging the whole stack at once would hold
-    # temporaries of its full size
-    probs = np.array([localization_report(times, w, cfg.cells[0], cfg.t_av,
-                                          lattice.periodic)
-                      for w in weights.transpose(1, 0, 2)])
+    # averaged as the samples are stepped: no (n_steps, n_gamma, N) stack,
+    # and no stepping past the window
+    weights = time_average(times, stacked_cell_weights(
+        H, cfg.gamma_values, excited_emitter_state(lattice, layout),
+        layout.n_emitters, times), cfg.t_av)
+    probs = localization_report(weights, cfg.cells[0], lattice.periodic)
     return {"sweep.csv": [_localization_csv(cfg.gamma_values, probs)]}
 
 

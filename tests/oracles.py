@@ -13,6 +13,9 @@ which `nhbath.evolve` replaces by its bounded Taylor steps.
 array, which `nhbath.lattice` assembles as CSR from index arrays.
 `sampled_winding` unwraps the phase of det(B(q) - e0) on a fine q-grid,
 where `nhbath.point_gap_winding` counts the roots of a quadratic.
+`mp_chain_resolvent_bb` builds the open-chain resolvent from the three-term
+recurrences of its tridiagonal mapped-picture form in extended precision,
+where `nhbath.heff_numeric` takes a banded LU of the original-picture one.
 """
 import mpmath as mp
 import numpy as np
@@ -128,3 +131,66 @@ def sampled_winding(params, e0):
     w = (phase[-1] - phase[0]) / (2 * np.pi)
     assert abs(w - round(w)) < 1e-6
     return int(round(w))
+
+
+def mp_chain_resolvent_bb(params, digits=50):
+    """bb entries (rows = target cells) of the open-chain resolvent
+    (0 - H)^(-1), from the model parameters alone, in O(N^2).
+
+    In the mapped picture (alpha_1, beta_1, alpha_2, ...) the bare open
+    chain is tridiagonal: on-site loss -i gamma/2, intra-cell hoppings
+    t1 + gamma/2 (alpha -> beta column to row, above the diagonal) and
+    t1 - gamma/2 (below), inter-cell hopping t2 both ways.  A = 0 - T has
+    diagonal a_k, super-diagonal b_k and sub-diagonal c_k; with
+    theta_0 = 1, theta_k = a_k theta_(k-1) - b_(k-1) c_(k-1) theta_(k-2)
+    and phi_(n+1) = 1, phi_k = a_k phi_(k+1) - b_k c_k phi_(k+2),
+    (A^-1)_ij = (-1)^(i+j) b_i...b_(j-1) theta_(i-1) phi_(j+1) / theta_n
+    for i <= j and (-1)^(i+j) c_j...c_(i-1) theta_(j-1) phi_(i+1) / theta_n
+    for i > j (Usmani, Linear Algebra Appl. 212/213, 413 (1994)), so each
+    triangle is an outer product of two vectors.  The hopping products are
+    ratios of prefix products, so every hopping must be non-zero
+    (gamma != 2 t1).  Rotated back by the cell unitary
+    u = [[1, i], [i, 1]]/sqrt(2), the b-b entry between cells i and j is
+    (G_aa + G_bb - i G_ab + i G_ba)/2 of the mapped (alpha, beta) blocks.
+    """
+    n = 2 * params.n_cells
+    with mp.workdps(digits):
+        t1, t2, gamma = (mp.mpf(x) for x in (params.t1, params.t2,
+                                             params.gamma))
+        a = mp.mpc(0, gamma / 2)  # 0 - (-i gamma/2)
+        # 1-based b_k = A[k, k+1], c_k = A[k+1, k]: odd k within a cell
+        b = [None] + [-(t1 + gamma / 2) if k % 2 else -t2 for k in range(1, n)]
+        c = [None] + [-(t1 - gamma / 2) if k % 2 else -t2 for k in range(1, n)]
+        theta = [mp.mpc(1), a]
+        for k in range(2, n + 1):
+            theta.append(a * theta[k - 1] - b[k - 1] * c[k - 1] * theta[k - 2])
+        phi = [None] * (n + 2)
+        phi[n + 1], phi[n] = mp.mpc(1), a
+        for k in range(n - 1, 0, -1):
+            phi[k] = a * phi[k + 1] - b[k] * c[k] * phi[k + 2]
+        pb, pc = [mp.mpf(1)], [mp.mpf(1)]  # prefix products of b, c
+        for k in range(1, n):
+            pb.append(pb[-1] * b[k])
+            pc.append(pc[-1] * c[k])
+        # (A^-1)_ij = x_i y_j for i <= j and u_i v_j for i > j
+        sign = [None] + [(-1) ** k for k in range(1, n + 1)]
+        x = [None] + [sign[i] * theta[i - 1] / pb[i - 1]
+                      for i in range(1, n + 1)]
+        y = [None] + [sign[j] * pb[j - 1] * phi[j + 1] / theta[n]
+                      for j in range(1, n + 1)]
+        u = [None] + [sign[i] * pc[i - 1] * phi[i + 1] / theta[n]
+                      for i in range(1, n + 1)]
+        v = [None] + [sign[j] * theta[j - 1] / pc[j - 1]
+                      for j in range(1, n + 1)]
+
+        def inv(i, j):
+            return x[i] * y[j] if i <= j else u[i] * v[j]
+
+        def bb(ci, cj):
+            al, be = 2 * ci - 1, 2 * ci  # 1-based rows of target cell ci
+            ar, br = 2 * cj - 1, 2 * cj
+            return complex((inv(al, ar) + inv(be, br)
+                            + mp.j * (inv(be, ar) - inv(al, br))) / 2)
+
+        cells = range(1, params.n_cells + 1)
+        return np.array([[bb(ci, cj) for cj in cells] for ci in cells])

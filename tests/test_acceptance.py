@@ -11,7 +11,7 @@ from nhbath import (EmitterLayout, LatticeParams, bloch_spectrum,
                     evolve, excited_emitter_state, fit_decay_rate,
                     heff_closed_form, heff_numeric, interaction_range,
                     localization_report, obc_defectivity, photon_density,
-                    point_gap_winding, verify_eigenstate)
+                    point_gap_winding, time_average, verify_eigenstate)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -116,8 +116,8 @@ def test_criterion_06_localization_cusp():
         p = LatticeParams(100, 1.0, 1.0, float(gamma), "open")
         H = build_total_hamiltonian(p, lay)
         amps = evolve(H, excited_emitter_state(p, lay), lay.n_emitters, times)
-        probs = localization_report(
-            times, cell_weights(photon_density(amps, lay.n_emitters)), 15, 20.0)
+        probs = localization_report(time_average(
+            times, cell_weights(photon_density(amps, lay.n_emitters)), 20.0), 15)
         rows.append((probs[0], probs[2]))
     p_loc = np.array([r[0] for r in rows])
     at = int(np.argmax(p_loc))

@@ -8,12 +8,13 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 
 import nhbath.dynamics
+import nhbath.runner
 from nhbath import (EmitterLayout, LatticeParams, build_total_hamiltonian,
                     cell_weights, emitter_populations,
                     evolve, excited_emitter_state, fit_decay_rate,
                     heff_closed_form, heff_numeric, localization_report,
                     parse_config, photon_density, run_experiment,
-                    stacked_cell_weights)
+                    stacked_cell_weights, time_average)
 from nhbath.lattice import rotate_cells
 from oracles import expm_stepped, picture_unitary
 
@@ -23,11 +24,12 @@ def _mapped_density(amps, n_emitters):
     return np.abs(rotate_cells(amps[:, n_emitters:])) ** 2
 
 
-def _localize(times, amps, *args, **kwargs):
+def _localize(times, amps, atom_cell, t_average, periodic=False):
     """`localization_report` of the photon cell weights of a one-emitter
-    trajectory sampled at `times`."""
-    return localization_report(times, cell_weights(photon_density(amps, 1)),
-                               *args, **kwargs)
+    trajectory sampled at `times`, averaged over [0, t_average]."""
+    weights = cell_weights(photon_density(amps, 1))
+    return localization_report(time_average(times, weights, t_average),
+                               atom_cell, periodic)
 
 
 def _alpha2(*hamiltonians):
@@ -176,8 +178,9 @@ class TestEvolve:
         lossless, *hamiltonians = [build_total_hamiltonian(p, lay)
                                    for p in params]
         xs = _spy_degrees(monkeypatch)
-        stacked = stacked_cell_weights(lossless, (0.5, 2.6), psi0,
-                                       lay.n_emitters, times)
+        stacked = np.array(list(stacked_cell_weights(lossless, (0.5, 2.6),
+                                                     psi0, lay.n_emitters,
+                                                     times)))
         assert 30 * len(xs) < times.size
         for k, H in enumerate(hamiltonians):
             amps = evolve(H, psi0, lay.n_emitters, times)
@@ -377,10 +380,12 @@ class TestLocalizationReport:
                 _localize(times, amps, cell, 5.0)
         weights = cell_weights(photon_density(amps, lay.n_emitters))
         for ts, w in ((times[:-1], weights), (times, weights[0])):
-            with pytest.raises(ValueError, match="shape"):
-                localization_report(ts, w, 3, 5.0)
+            with pytest.raises(ValueError, match="one sample per time"):
+                time_average(ts, w, 4.0)
         with pytest.raises(ValueError, match="two sample times"):
-            localization_report(times[:1], weights[:1], 3, 5.0)
+            time_average(times[:1], weights[:1], 5.0)
+        with pytest.raises(ValueError, match="shape"):
+            localization_report(1.0, 1)
 
     def test_window_shorter_than_a_step(self):
         # a window holding one sample has no time average (the trapezoid
@@ -402,13 +407,17 @@ class TestLocalizationReport:
         assert probs.sum() == pytest.approx(1.0)
 
     def test_no_photonic_weight(self):
+        avg = time_average([0.0, 1.0, 2.0], np.zeros((3, 4)), 2.0)
         with pytest.raises(ValueError, match="no photonic weight"):
-            localization_report([0.0, 1.0, 2.0], np.zeros((3, 4)), 2, 2.0)
+            localization_report(avg, 2)
+        with pytest.raises(ValueError, match="no photonic weight"):
+            localization_report(np.eye(4)[[0, 1]] * [[1.0], [0.0]], 2)
 
     def test_time_grid_follows_evolve(self):
         # the rule of `evolve`: finite, 1-D, >= 2 samples, from 0, increasing
         w = np.eye(3)[[0, 1, 2, 0]]
-        probs = localization_report([0.0, 1.0, 2.0, 3.0], w, 1, 3.0)
+        probs = localization_report(time_average([0.0, 1.0, 2.0, 3.0], w,
+                                                 3.0), 1)
         assert isinstance(probs, np.ndarray) and probs.shape == (3,)
         np.testing.assert_allclose(probs, [2 / 3, 0.0, 1 / 3], rtol=1e-15)
         for ts, match in (([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
@@ -416,7 +425,7 @@ class TestLocalizationReport:
                           ([1.0, 2.0, 3.0, 4.0], "start at t = 0"),
                           ([0.0, 1.0, np.nan, 3.0], "finite")):
             with pytest.raises(ValueError, match=match):
-                localization_report(ts, w, 1, 3.0)
+                time_average(ts, w, 3.0)
 
 
     def test_ring_local_pair_wraps(self):
@@ -449,17 +458,27 @@ class TestStackedCellWeights:
         lay = EmitterLayout([cell], 0.1)
         return p, lay, build_total_hamiltonian(p, lay)
 
+    @staticmethod
+    def _assert_stream(stream, want, atol):
+        """Every sample the stream yields against the rows of `want`,
+        shape (n_steps, n_gammas, N): one per time, no more, no fewer."""
+        for got, row in zip(stream, want, strict=True):
+            assert got.shape == row.shape
+            np.testing.assert_allclose(got, row, rtol=0, atol=atol)
+
     def test_each_system_matches_evolve(self):
         times = np.linspace(0, 20, 201)
         p, lay, lossless = self._ring(0.0)
         psi0 = excited_emitter_state(p, lay)
-        got = stacked_cell_weights(lossless, self.GAMMAS, psi0,
-                                   lay.n_emitters, times)
-        assert got.shape == (201, 3, 10)
-        for k, gamma in enumerate(self.GAMMAS):
-            amps = evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times)
-            want = cell_weights(photon_density(amps, lay.n_emitters))
-            np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-13)
+        stream = stacked_cell_weights(lossless, self.GAMMAS, psi0,
+                                      lay.n_emitters, times)
+        want = np.stack([
+            cell_weights(photon_density(
+                evolve(self._ring(gamma)[2], psi0, lay.n_emitters, times),
+                lay.n_emitters))
+            for gamma in self.GAMMAS], axis=1)
+        assert want.shape == (201, 3, 10)
+        self._assert_stream(stream, want, 1e-13)
 
     def test_sweep_rows_match_per_gamma_reports(self, tmp_path):
         # the emitter sits in cell N, whose local pair wraps to cell 1
@@ -485,11 +504,11 @@ class TestStackedCellWeights:
         p, lay, lossless = self._ring(0.0, cell=4)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 20, 201)
-        got = stacked_cell_weights(lossless, [2.0], psi0, lay.n_emitters,
-                                   times)
+        stream = stacked_cell_weights(lossless, [2.0], psi0, lay.n_emitters,
+                                      times)
         amps = evolve(self._ring(2.0, cell=4)[2], psi0, lay.n_emitters, times)
         want = cell_weights(photon_density(amps, lay.n_emitters))
-        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-15)
+        self._assert_stream(stream, want[:, None], 1e-15)
 
     def test_non_uniform_ring_matches_dense_expm_stepping(self, monkeypatch):
         # t1 != t2 on the N = 100 ring, below, at and above the exceptional
@@ -504,16 +523,18 @@ class TestStackedCellWeights:
                                                    "periodic"), lay)
         times = np.linspace(0, 10, 41)
         xs = _spy_degrees(monkeypatch)
-        got = stacked_cell_weights(lossless, gammas, psi0, lay.n_emitters,
-                                   times)
+        want = np.stack([
+            cell_weights(photon_density(expm_stepped(H, psi0, times),
+                                        lay.n_emitters))
+            for H in hamiltonians], axis=1)
+        self._assert_stream(stacked_cell_weights(lossless, gammas, psi0,
+                                                 lay.n_emitters, times),
+                            want, 1e-13)
         np.testing.assert_allclose(xs, _chunk_xs(_alpha2(*hamiltonians),
                                                  times), rtol=1e-12)
-        for k, H in enumerate(hamiltonians):
-            want = cell_weights(photon_density(expm_stepped(H, psi0, times),
-                                               lay.n_emitters))
-            np.testing.assert_allclose(got[:, k], want, rtol=0, atol=1e-13)
 
     def test_bad_inputs(self):
+        # checked at the call, before any sample is drawn
         p, lay, H = self._ring(0.0)
         psi0 = excited_emitter_state(p, lay)
         times = np.linspace(0, 1, 3)
@@ -527,6 +548,104 @@ class TestStackedCellWeights:
         for bad in ([0.0, 1.0, 1.0], [0.0], [0.0, np.nan]):
             with pytest.raises(ValueError, match="times"):
                 stacked_cell_weights(H, [1.0], psi0, lay.n_emitters, bad)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestTimeAverage:
+    """The streamed trapezoid average against `np.trapezoid` of the stored
+    samples, bit for bit: the same terms added in the same order."""
+
+    @staticmethod
+    def _trapezoid(times, w, t_average):
+        n = np.searchsorted(times, t_average + 1e-12, side="right")
+        return (np.trapezoid(w[:n], times[:n], axis=0)
+                / (times[n - 1] - times[0]))
+
+    @pytest.mark.parametrize("shape", [(201, 100), (201, 40, 10)],
+                             ids=["n_t,N", "n_t,n_gamma,N"])
+    @pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+    @pytest.mark.parametrize("t_frac", [1.0, 0.37])
+    def test_bitwise_equal_to_trapezoid(self, shape, grid, t_frac):
+        rng = np.random.default_rng(11)
+        if grid == "uniform":
+            times = np.linspace(0, 20, shape[0])
+        else:
+            times = np.r_[0.0, np.cumsum(rng.uniform(0.01, 0.2,
+                                                     shape[0] - 1))]
+        w = rng.random(shape) ** 4  # weights spanning several decades
+        t_average = t_frac * times[-1]
+        want = self._trapezoid(times, w, t_average)
+        for samples in (w, iter(w), (row.T.copy().T for row in w)):
+            # an array, a stream, and Fortran-ordered samples
+            got = time_average(times, samples, t_average)
+            assert got.shape == shape[1:]
+            assert (_bits(got) == _bits(want)).all()
+
+    def test_stream_of_the_stepper_is_averaged_bitwise(self):
+        p, lay, lossless = TestStackedCellWeights._ring(0.0)
+        psi0 = excited_emitter_state(p, lay)
+        times = np.linspace(0, 20, 201)
+
+        def stream():
+            return stacked_cell_weights(lossless, (0.5, 2.0, 3.5), psi0,
+                                        lay.n_emitters, times)
+
+        stack = np.array(list(stream()))
+        for t_average in (20.0, 7.3):
+            assert (_bits(time_average(times, stream(), t_average))
+                    == _bits(self._trapezoid(times, stack, t_average))).all()
+
+    def test_draws_no_sample_past_the_window(self):
+        drawn = []
+
+        def samples():
+            for k in range(11):
+                drawn.append(k)
+                yield np.full(3, float(k))
+
+        avg = time_average(np.linspace(0, 5, 11), samples(), 2.2)
+        assert drawn == [0, 1, 2, 3, 4]  # the window ends at t = 2
+        np.testing.assert_allclose(avg, 2.0, rtol=1e-15)
+
+    def test_sweep_stops_stepping_at_the_window_end(self, monkeypatch):
+        # t_av = 7.3 on a grid of step 0.1: the window's last sample is
+        # t = 7.3 itself, so the stepper yields 74 samples, none past it
+        steps, yielded = nhbath.dynamics._taylor_steps, []
+
+        def steps_spy(*args):
+            for psi in steps(*args):
+                yielded.append(psi)
+                yield psi
+
+        monkeypatch.setattr(nhbath.dynamics, "_taylor_steps", steps_spy)
+        raw = {"experiment": "sweep_gamma", "N": 10, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "boundary": "periodic", "g": 0.1, "cells": [4],
+               "t_max": 20.0, "n_points": 201, "t_av": 7.3,
+               "gamma_values": [1.0, 2.0, 3.0], "output_dir": "unused"}
+        rows = nhbath.runner._FILES["sweep_gamma"](
+            parse_config(json.dumps(raw)))["sweep.csv"]
+        assert len(yielded) == 74
+        assert "".join(rows).count("\n") == 4
+
+    def test_window_rules(self):
+        times = np.linspace(0, 2, 5)
+        w = np.ones((5, 3))
+        with pytest.raises(ValueError, match="exceeds"):
+            time_average(times, w, 2.5)
+        with pytest.raises(ValueError, match="time step"):
+            time_average(times, w, 0.4)
+        for t_average in (0.0, -1.0, np.nan, True):
+            with pytest.raises(ValueError, match="t_average must be"):
+                time_average(times, w, t_average)
+        with pytest.raises(ValueError, match="need 3 samples"):
+            time_average(times, iter(w[:2]), 1.0)
+        with pytest.raises(ValueError, match="need 3 samples"):
+            time_average(times, iter(()), 1.0)
+        with pytest.raises(ValueError, match="sample 2 has shape"):
+            time_average(times, iter([w[0], w[1], w[2, :2]]), 1.0)
 
 
 def _directional_populations(params, layout, times):

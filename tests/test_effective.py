@@ -11,6 +11,7 @@ from nhbath import (EmitterLayout, LatticeParams, build_bare_hamiltonian,
                     interaction_range)
 from nhbath.cli import main
 from nhbath.effective import closed_form_problems
+from oracles import mp_chain_resolvent_bb
 
 
 def dense_resolvent_bb(params):
@@ -267,6 +268,23 @@ class TestHeffNumeric:
         got = heff_numeric(params, EmitterLayout(range(1, n + 1), 1.0))
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-14 * np.abs(want).max())
+
+    def test_open_chain_vs_tridiagonal_recurrence(self):
+        # t1 != t2 above the exceptional point at N = 100, against Usmani's
+        # recurrences on the mapped-picture chain at 50 digits, which share
+        # no algorithm with the banded LU
+        p = LatticeParams(100, 1.3, 0.8, 3.0, "open")
+        want = mp_chain_resolvent_bb(p)
+        got = heff_numeric(p, EmitterLayout(range(1, 101), 1.0))
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("gamma", [1.1, 3.0])
+    def test_recurrence_oracle_matches_the_dense_inverse(self, gamma):
+        p = LatticeParams(7, 1.3, 0.8, gamma, "open")
+        want = mp_resolvent_bb(p)
+        np.testing.assert_allclose(mp_chain_resolvent_bb(p), want, rtol=0,
+                                   atol=1e-15 * np.abs(want).max())
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n_cells", [2, 4, 10, 40])
