@@ -35,16 +35,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(raw: dict, pairs: list) -> dict:
-    for pair in pairs:
+def _overrides(args) -> dict:
+    """The config keys the command line sets: the subcommand's experiment,
+    then the --set pairs in order, then --output-dir."""
+    overrides = {"experiment": args.experiment}
+    for pair in args.set:
         if "=" not in pair:
             raise ConfigError([f"--set expects KEY=VALUE, got {pair!r}"])
         key, _, value = pair.partition("=")
         try:
-            raw[key] = json.loads(value)
+            overrides[key] = json.loads(value)
         except json.JSONDecodeError:
-            raw[key] = value
-    return raw
+            overrides[key] = value
+    if overrides["experiment"] != args.experiment:
+        raise ConfigError([f"experiment: --set experiment="
+                           f"{overrides['experiment']!r} disagrees with the "
+                           f"subcommand {args.command}"])
+    if args.output_dir is not None:
+        overrides["output_dir"] = args.output_dir
+    return overrides
 
 
 def main(argv=None) -> int:
@@ -52,23 +61,12 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ConfigError(["top-level JSON value must be an object"])
-        raw["experiment"] = args.experiment
-        raw = _apply_overrides(raw, args.set)
-        if raw["experiment"] != args.experiment:
-            raise ConfigError([f"experiment: --set experiment="
-                               f"{raw['experiment']!r} disagrees with the "
-                               f"subcommand {args.command}"])
-        if args.output_dir is not None:
-            raw["output_dir"] = args.output_dir
-        cfg = parse_config(json.dumps(raw))
-    except (json.JSONDecodeError, ConfigError) as exc:
+        cfg = parse_config(text, _overrides(args))
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.emitters is not None:

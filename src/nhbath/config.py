@@ -3,7 +3,8 @@ canonical serialization."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -54,9 +55,10 @@ def _one_of(*allowed):
 
 
 def _cells(val):
-    if isinstance(val, list) and val and all(map(integer, val)):
-        return None
-    return f"expected a non-empty list of integers, got {val!r}"
+    if not (isinstance(val, list) and val and all(map(integer, val))):
+        return f"expected a non-empty list of integers, got {val!r}"
+    repeated = sorted({cell for cell in val if val.count(cell) > 1})
+    return f"repeated cell(s) {repeated}" if repeated else None
 
 
 def _reals(val):
@@ -70,27 +72,11 @@ def _text(val):
             else f"expected a non-empty string, got {val!r}")
 
 
-# every legal flat key -> (rule: given value -> problem or None, default,
-# type it is stored as).  A key without a default (None) is required where
-# it is read; the lattice keys are read by every experiment.
-KNOWN_KEYS = {
-    "experiment": (_one_of(*EXPERIMENTS), None, str),
-    "N": (_number(True, 2, False), None, int),  # number of unit cells
-    "t1": (_POSITIVE, None, float),  # intra-cell hopping
-    "t2": (_POSITIVE, None, float),  # inter-cell hopping scale
-    "gamma": (_NON_NEGATIVE, None, float),  # loss rate of the lossy sublattice
-    "boundary": (_one_of(*BOUNDARIES), "periodic", str),
-    "g": (_POSITIVE, None, float),  # emitter-photon coupling
-    "cells": (_cells, None, tuple),  # 1-based, distinct cells hosting emitters
-    "excited_emitter": (_number(True, 1, False), 1, int),  # 1-based (transfer)
-    "t_max": (_POSITIVE, 20.0, float),  # end of the time grid
-    "n_points": (_number(True, 2, False), 201, int),  # number of time samples
-    "t_av": (_POSITIVE, 20.0, float),  # averaging window of the localization
-    # loss rates swept by sweep_gamma; an empty list gives none
-    "gamma_values": (_reals, None, lambda v: tuple(map(float, v)) or None),
-    "heff_method": (_one_of("numeric", "finite", "asymptotic"), "numeric", str),
-    "output_dir": (_text, "out", str),  # directory for result files
-}
+def _key(rule, store, default=None):
+    """One config key: `rule` maps a given value to a problem or None, `store`
+    to the value kept; a key whose default is None is required where it is
+    read (the lattice keys are read by every experiment)."""
+    return field(default=default, metadata={"rule": rule, "store": store})
 
 
 class ConfigError(ValueError):
@@ -104,24 +90,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One field per key of `KNOWN_KEYS`; a key the experiment does not read
-    holds its default."""
+    """One field per config key, declaring its rule, the type it is stored as
+    and its default; a key the experiment does not read holds its default."""
 
-    experiment: str
-    N: int
-    t1: float
-    t2: float
-    gamma: float
-    boundary: str
-    g: Optional[float]
-    cells: Optional[tuple]
-    excited_emitter: int
-    t_max: float
-    n_points: int
-    t_av: float
-    gamma_values: Optional[tuple]
-    heff_method: str
-    output_dir: str
+    experiment: str = _key(_one_of(*EXPERIMENTS), str)
+    N: int = _key(_number(True, 2, False), int)  # number of unit cells
+    t1: float = _key(_POSITIVE, float)  # intra-cell hopping
+    t2: float = _key(_POSITIVE, float)  # inter-cell hopping scale
+    gamma: float = _key(_NON_NEGATIVE, float)  # loss rate of the lossy sublattice
+    boundary: str = _key(_one_of(*BOUNDARIES), str, "periodic")
+    g: Optional[float] = _key(_POSITIVE, float)  # emitter-photon coupling
+    cells: Optional[tuple] = _key(_cells, tuple)  # 1-based, distinct emitter cells
+    excited_emitter: int = _key(_number(True, 1, False), int, 1)  # 1-based (transfer)
+    t_max: float = _key(_POSITIVE, float, 20.0)  # end of the time grid
+    n_points: int = _key(_number(True, 2, False), int, 201)  # number of time samples
+    t_av: float = _key(_POSITIVE, float, 20.0)  # averaging window of the localization
+    # loss rates swept by sweep_gamma; an empty list gives none
+    gamma_values: Optional[tuple] = _key(
+        _reals, lambda v: tuple(map(float, v)) or None)
+    heff_method: str = _key(_one_of("numeric", "finite", "asymptotic"), str,
+                            "numeric")
+    output_dir: str = _key(_text, str, "out")  # directory for result files
 
     @cached_property
     def lattice(self) -> LatticeParams:
@@ -138,6 +127,10 @@ class ExperimentConfig:
                 if key in keep and value is not None}
 
 
+# every legal flat key -> its field
+KNOWN_KEYS = {spec.name: spec for spec in fields(ExperimentConfig)}
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text of the keys the experiment reads.
 
@@ -148,35 +141,47 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.flat_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _unique_keys(pairs):
+    """object_pairs_hook of json.loads: the object as a dict, or ConfigError
+    naming each key it gives more than once."""
+    counts = Counter(key for key, _ in pairs)
+    if len(counts) < len(pairs):
+        raise ConfigError([f"repeated key {key!r}"
+                           for key, n in counts.items() if n > 1])
+    return dict(pairs)
+
+
+def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Parse and validate a flat JSON config, reporting every problem at once.
 
-    Every key given is checked by its own rule, whatever the experiment; the
-    rules that join keys see only the valid values of keys the experiment
-    reads.
+    The keys of `overrides` replace those of the text; a key given twice in
+    the text is an error.  Every key given is checked by its own rule,
+    whatever the experiment; the rules that join keys see only the valid
+    values of keys the experiment reads.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top-level JSON value must be an object"])
+    raw.update(overrides or {})
 
     problems = [f"unknown key {key!r}" for key in sorted(set(raw) - set(KNOWN_KEYS))]
     valid, invalid = {}, set()
-    for key, (rule, _, store) in KNOWN_KEYS.items():
+    for key, spec in KNOWN_KEYS.items():
         if raw.get(key) is None:  # null means absent
             continue
-        if problem := rule(raw[key]):
+        if problem := spec.metadata["rule"](raw[key]):
             problems.append(f"{key}: {problem}")
             invalid.add(key)
         else:
-            valid[key] = store(raw[key])
+            valid[key] = spec.metadata["store"](raw[key])
     experiment = valid.get("experiment")
     reads = _READS.get(experiment, ())
     # the values the experiment reads, the default standing in for a key not
     # given; an invalid value is dropped and None marks a missing key
-    val = {key: valid.get(key, KNOWN_KEYS[key][1])
+    val = {key: valid.get(key, KNOWN_KEYS[key].default)
            for key in _COMMON + reads if key not in invalid}
     problems += [f"{key}: required" for key in ("experiment", *_LATTICE)
                  if key in val and val[key] is None]
@@ -184,32 +189,23 @@ def parse_config(text: str) -> ExperimentConfig:
                  if key in val and val[key] is None]
     val = {key: value for key, value in val.items() if value is not None}
 
-    lattice = emitters = None
-    if all(key in val for key in _LATTICE):
-        lattice = LatticeParams(*(val[key] for key in _LATTICE))
     if "cells" in val and "g" in val:
-        try:
-            emitters = EmitterLayout(val["cells"], val["g"])
-        except ValueError as exc:
-            problems.append(f"cells/g: {exc}")
-    if emitters is not None:
-        n = val.get("N")
-        bad = [c for c in emitters.cells if n is not None and not 1 <= c <= n]
+        cells, n = val["cells"], val.get("N")
+        bad = [c for c in cells if n is not None and not 1 <= c <= n]
         if bad:
             problems.append(f"cells: {bad} out of range 1..{n}")
-        if experiment == "transfer" and emitters.n_emitters < 2:
+        if experiment == "transfer" and len(cells) < 2:
             problems.append("cells: transfer needs at least two emitters")
-        if experiment in ("dressed", "sweep_gamma", "emit") \
-                and emitters.n_emitters != 1:
+        if experiment in ("dressed", "sweep_gamma", "emit") and len(cells) != 1:
             problems.append(f"cells: experiment {experiment} takes exactly one emitter")
-        if "excited_emitter" in val and val["excited_emitter"] > emitters.n_emitters:
+        if "excited_emitter" in val and val["excited_emitter"] > len(cells):
             problems.append(f"excited_emitter: {val['excited_emitter']} "
                             "exceeds the number of emitters")
 
     if all(key in val for key in ("t_max", "n_points", "t_av")):
         t_max, t_av = val["t_max"], val["t_av"]
         step = t_max / (val["n_points"] - 1)
-        if t_av > t_max:
+        if t_av > t_max + 1e-12:  # the overshoot time_average allows
             problems.append(f"t_av: averaging window {t_av} exceeds t_max {t_max}")
         elif t_av + 1e-12 < step:
             problems.append(f"t_av: averaging window {t_av} is shorter than "
@@ -217,7 +213,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # models the computation rejects, by the rules of the modules that own
     # them; both read the lattice alone
-    if lattice is not None:
+    if all(key in val for key in _LATTICE):
+        lattice = LatticeParams(*(val[key] for key in _LATTICE))
         if experiment == "dressed":
             problems += [f"dressed: {r}" for r in dressed_state_problems(lattice)]
         if val.get("heff_method") in ("finite", "asymptotic"):
@@ -226,5 +223,4 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(**{key: val.get(key, default)
-                               for key, (_, default, _) in KNOWN_KEYS.items()})
+    return ExperimentConfig(**val)

@@ -126,6 +126,45 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(path), "--output-dir",
+                     str(out)]) == 2
+        assert "error: cannot read config: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_key_in_the_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"N": 8, "t1": 1.0, "t2": 1.0, "gamma": 1.0, "N": 9, '
+                        f'"output_dir": {json.dumps(str(tmp_path / "out"))}}}',
+                        encoding="utf-8")
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "repeated key 'N'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_apply_in_order(self, tmp_path, capsys):
+        # the subcommand's experiment, then the --set pairs (the last of a
+        # repeated key wins), then --output-dir; a key set to null is absent
+        cfg = write_config(tmp_path, N=8, t1=1.0, t2=1.0, gamma=2.0,
+                           boundary="open", g=0.05, cells=[3],
+                           output_dir=str(tmp_path / "out"))
+        flag, via_set = tmp_path / "flag", tmp_path / "set"
+        assert main(["heff", "--config", cfg, "--set", "cells=[4]",
+                     "--set", "cells=[3, 5]", "--set", f"output_dir={via_set}",
+                     "--output-dir", str(flag)]) == 0
+        assert len(json.loads((flag / "heff.json").read_text())["entries"]) == 4
+        assert not via_set.exists() and not (tmp_path / "out").exists()
+        bad = tmp_path / "bad"
+        assert main(["heff", "--config", cfg, "--set", "g=null",
+                     "--output-dir", str(bad)]) == 2
+        assert "g: required for experiment heff" in capsys.readouterr().err
+        assert not bad.exists()
+        assert main(["heff", "--config", cfg, "--set", "heff_method=null",
+                     "--output-dir", str(bad)]) == 0
+        assert json.loads((bad / "heff.json").read_text())["method"] == "numeric"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from nhbath import (ConfigError, EmitterLayout, ExperimentConfig,
                     LatticeParams, dressed_state, heff_closed_form,
-                    heff_numeric, parse_config, serialize_config)
+                    heff_numeric, parse_config, run_experiment,
+                    serialize_config)
 from nhbath.config import EXPERIMENTS, KNOWN_KEYS
 
 MINIMAL_SPECTRUM = ('{"N": 8, "t1": 1, "t2": 1, "gamma": 1, '
@@ -31,6 +32,14 @@ class TestParseConfig:
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match="must be an object"):
             parse_config("[1, 2]")
+
+    def test_repeated_key_is_an_error(self):
+        text = MINIMAL_SPECTRUM.replace('"N": 8', '"N": 8, "t1": 2, "N": 9')
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.problems == ["repeated key 'N'", "repeated key 't1'"]
+        # an override replaces a key of the text; it does not repeat it
+        assert parse_config(MINIMAL_SPECTRUM, {"N": 9}).N == 9
 
     def test_negative_gamma_names_the_field(self):
         bad = MINIMAL_SPECTRUM.replace('"gamma": 1', '"gamma": -0.5')
@@ -117,6 +126,18 @@ class TestParseConfig:
             parse_config(json.dumps(raw))
         assert exc.value.problems == [
             "t_av: averaging window 3.0 exceeds t_max 2.0"]
+
+    def test_window_may_overshoot_the_run_by_rounding(self, tmp_path):
+        # 0.1 * 3 = 0.30000000000000004 > 0.3 is within the 1e-12 that
+        # time_average allows, so emit averages the whole run
+        raw = {"experiment": "emit", "N": 8, "t1": 1.0, "t2": 1.0,
+               "gamma": 2.0, "g": 0.05, "cells": [3], "t_max": 0.3,
+               "n_points": 4, "t_av": 0.1 * 3, "output_dir": str(tmp_path)}
+        assert run_experiment(parse_config(json.dumps(raw)))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(dict(raw, t_av=0.3 + 1e-11)))
+        assert exc.value.problems == [
+            "t_av: averaging window 0.30000000001 exceeds t_max 0.3"]
 
     def test_fig2_style_sweep_round_trips(self):
         raw = {"experiment": "sweep_gamma", "N": 100, "t1": 1.0, "t2": 1.0,
@@ -212,16 +233,19 @@ class TestParseConfig:
         ({"experiment": "dressed"},
          "dressed: dressed states exist at gamma = 2J exactly"),
         ({"experiment": "heff", "heff_method": "finite", "t2": 1.5},
-         "heff_method: finite closed forms require t1 == t2")])
+         "heff_method: finite closed forms require t1 == t2"),
+        ({"experiment": "dressed", "cells": [3, 5, 3]},
+         "dressed: dressed states exist at gamma = 2J exactly")])
     def test_model_rules_need_only_the_lattice(self, overrides, problem):
-        # the model rules read the lattice, so an invalid cells list does
-        # not hide them
+        # the model rules read the lattice, so an invalid cells list (not a
+        # list of integers, or one that repeats a cell) does not hide them
         raw = {"N": 8, "t1": 1, "t2": 1, "gamma": 1, "g": 0.05, "cells": "x",
                **overrides}
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(raw))
-        assert exc.value.problems == [
-            "cells: expected a non-empty list of integers, got 'x'", problem]
+        cells = ("repeated cell(s) [3]" if "cells" in overrides
+                 else "expected a non-empty list of integers, got 'x'")
+        assert exc.value.problems == [f"cells: {cells}", problem]
 
     def test_config_is_frozen_and_builds_its_models_once(self):
         raw = {"experiment": "heff", "N": 8, "t1": 1.0, "t2": 1.0,
@@ -319,6 +343,22 @@ def test_parsing_the_canonical_text_gives_the_config_back(raw):
     except ConfigError:
         return
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _outcome(*args):
+    """The config parse_config returns, or the problems it raises."""
+    try:
+        return parse_config(*args)
+    except ConfigError as exc:
+        return exc.problems
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(raw=_one_key_off, overrides=st.dictionaries(_keys, _json, max_size=3))
+def test_overrides_replace_the_keys_of_the_text(raw, overrides):
+    text = json.dumps(raw)
+    assert _outcome(text, overrides) == _outcome(
+        json.dumps({**json.loads(text), **overrides}))
 
 
 def _accepts_or_raises_config_error(raw):

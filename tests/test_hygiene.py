@@ -214,8 +214,19 @@ def test_public_names_resolve_once():
 
 
 def test_each_config_key_is_declared_once():
-    # one KNOWN_KEYS row per key: the config has a field for each row and the
-    # experiment table names no key without one
+    # one ExperimentConfig field per key, carrying its rule and stored type:
+    # KNOWN_KEYS lists the fields and the experiment table names no key
+    # without one
     assert [f.name for f in fields(ExperimentConfig)] == list(KNOWN_KEYS)
+    assert all(set(f.metadata) == {"rule", "store"}
+               for f in fields(ExperimentConfig))
     named = set(_COMMON).union(*_READS.values())
     assert named - set(KNOWN_KEYS) == set()
+
+
+def test_version_is_stated_once():
+    # pyproject.toml and nhbath.__version__ state the same build identifier
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    assert project["version"] == nhbath.__version__
