@@ -10,6 +10,7 @@ from scipy.sparse import csr_array, diags_array, eye_array, kron
 from .params import require_count, require_index, require_positive
 
 _GROUP = 8  # samples of a chunk read out of its terms by one product
+_X_MAX = 4  # largest x = alpha_2 T/s that one Taylor expansion spans
 
 
 def _taylor_degree(x: float) -> int:
@@ -26,14 +27,15 @@ def _taylor_degree(x: float) -> int:
 def _chunks(alpha: float, times: np.ndarray):
     """The plan of `_taylor_steps` at alpha_2(B) = `alpha`: (i, j, s, m) for
     each chunk times[i..j]: the most intervals (at least one) whose span T
-    keeps x = alpha * T <= 2, in s = max(1, ceil(x/2)) substeps of degree
-    m = _taylor_degree(x/s), at least the 1 the bound in alpha_2 needs."""
+    keeps x = alpha * T <= _X_MAX, in s = max(1, ceil(x/_X_MAX)) substeps of
+    degree m = _taylor_degree(x/s), at least the 1 the bound in alpha_2
+    needs."""
     i = 0
     while i < times.size - 1:
-        j = i + max(1, int(np.searchsorted(alpha * (times[i:] - times[i]), 2,
-                                           side="right")) - 1)
+        j = i + max(1, int(np.searchsorted(alpha * (times[i:] - times[i]),
+                                           _X_MAX, side="right")) - 1)
         x = alpha * (times[j] - times[i])
-        s = max(1, math.ceil(x / 2))
+        s = max(1, math.ceil(x / _X_MAX))
         yield i, j, s, max(1, _taylor_degree(x / s))
         i = j
 
@@ -59,7 +61,7 @@ def _taylor_steps(H: csr_array, diag: np.ndarray, psi: np.ndarray,
     tau for any matrix once m >= 1 (Al-Mohy & Higham, SIAM J. Matrix Anal.
     Appl. 31, 970 (2009), Thm 4.2).  alpha_2 <= ||B||_1; on this lattice,
     where B^2 cancels much of B, it is about half.  At x = alpha_2 T/s in
-    (1, 2] the degree is 18-24: a unit of alpha_2 t costs about 12-14
+    (2, 4] the degree is 24-33: a unit of alpha_2 t costs about 8-12
     products however fine the grid, and the rounding stays small.
     """
     shift = (H.diagonal()[:, None] + diag).mean(axis=0)
@@ -136,7 +138,7 @@ def evolve(hamiltonian, initial, n_emitters: int,
 
     Times must be finite, start at 0 and increase; H and the state must be
     finite.  The state is the one column of `_taylor_steps`: one bounded
-    Taylor expansion per chunk of intervals with alpha_2(H - mu I) T <= 2.
+    Taylor expansion per chunk of intervals with alpha_2(H - mu I) T <= 4.
     """
     H, psi0, times = _checked(hamiltonian, initial, n_emitters, times)
     amps = np.empty((times.size, psi0.size), dtype=complex)

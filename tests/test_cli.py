@@ -283,9 +283,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, name, digest", [
         ("emit", "localization.csv",
-         "d6e5f49aa311df8e1442008963a7218956b13134f12b96292a7c32cb42bc3390"),
+         "4a61dc733f627d9e159832d9470d83dc346c7196f04a3aa47c6df6e0c1a10929"),
         ("sweep-gamma", "sweep.csv",
-         "aa599cc28ac30fea2bc50ea9d5e08789ad2f02d2418a4b1fde213925a537f58f")],
+         "e476159494a18d8dc2ca65070ca3b9f377ad5bfa154c4a7ed4ea1a5bc88f4b0a")],
         ids=["emit", "sweep-gamma"])
     def test_ring_localization_is_the_same_in_every_cell(self, tmp_path,
                                                          command, name, digest):

@@ -47,20 +47,20 @@ def _alpha2(*hamiltonians):
 
 def _chunk_xs(alpha, times):
     """alpha_2 T / s of every chunk of samples (span T, s substeps) at
-    alpha_2 = `alpha`, after checking the plan: every x <= 2, every chunk
-    as long as x <= 2 allows, and substeps only on one interval with
-    alpha * dt > 2."""
+    alpha_2 = `alpha`, after checking the plan: every x <= 4, every chunk
+    as long as x <= 4 allows, and substeps only on one interval with
+    alpha * dt > 4."""
     xs, i, last = [], 0, times.size - 1
     while i < last:
         reach = alpha * (times[i + 1:] - times[i])  # to each later sample
-        j = i + max(1, np.count_nonzero(reach <= 2))
+        j = i + max(1, np.count_nonzero(reach <= 4))
         x = reach[j - i - 1]
-        s = max(1, math.ceil(x / 2))
-        assert s == 1 or (j == i + 1 and x > 2)
-        assert j == last or reach[j - i] > 2
+        s = max(1, math.ceil(x / 4))
+        assert s == 1 or (j == i + 1 and x > 4)
+        assert j == last or reach[j - i] > 4
         xs.append(x / s)
         i = j
-    assert max(xs) <= 2
+    assert max(xs) <= 4
     return xs
 
 
@@ -145,12 +145,12 @@ class TestEvolve:
         [("periodic", 7, 1.0, 1.0, 2.0, 7, 9.0, 5),
          ("open", 7, 1.0, 1.0, 2.0, 7, 9.0, 5),
          # t1 != t2 above the exceptional point on the N = 200 open chain
-         ("open", 200, 1.3, 0.8, 3.0, 100, 1.0, 10)],
+         ("open", 200, 1.3, 0.8, 3.0, 100, 2.0, 5)],
         ids=["periodic", "open", "long-open-chain"])
     def test_coarse_grid_takes_substeps(self, monkeypatch, boundary, n, t1, t2,
                                         gamma, cell, dt, n_steps):
-        # alpha_2(H - mu I) dt > 2: every interval is a chunk of its own,
-        # split into substeps with x <= 2, each taken to the degree the
+        # alpha_2(H - mu I) dt > 4: every interval is a chunk of its own,
+        # split into substeps with x <= 4, each taken to the degree the
         # a-priori bound asks for
         p = LatticeParams(n, t1, t2, gamma, boundary)
         lay = EmitterLayout([cell], 0.3)
@@ -160,14 +160,14 @@ class TestEvolve:
         xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
         alpha = _alpha2(H)
-        assert alpha * dt > 2
+        assert alpha * dt > 4
         np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
     def test_samples_inside_a_chunk_match_dense_expm_powers(self,
                                                             monkeypatch):
-        # dt = 0.01 on the N = 100 ring with t1 != t2: about 85-90 samples
+        # dt = 0.01 on the N = 100 ring with t1 != t2: about 170-180 samples
         # share each chunk, so nearly every multiple of 0.5 is read off the
         # terms of a chunk that started elsewhere
         params = [LatticeParams(100, 1.3, 0.8, gamma, "periodic")
@@ -195,19 +195,19 @@ class TestEvolve:
 
     def test_chunk_ends_before_a_substepped_interval(self, monkeypatch):
         # runs of dt = 3/64 (a binary fraction near 0.05, so the grid has
-        # two interval lengths) around one interval of 1.5 > 2/alpha_2 on
-        # the N = 200 open chain: chunks of 19, 19 and 2 intervals end at
-        # t = 1.875, the long interval takes 2 substeps, then 19, 19, 2 again
+        # two interval lengths) around one interval of 3 > 4/alpha_2 on the
+        # N = 200 open chain: chunks of 38 and 2 intervals end at t = 1.875,
+        # the long interval takes 2 substeps, then 38 and 2 again
         p = LatticeParams(200, 1.3, 0.8, 3.0, "open")
         lay = EmitterLayout([100], 0.3)
         H = build_total_hamiltonian(p, lay)
         psi0 = excited_emitter_state(p, lay)
-        times = 3 / 64 * np.r_[0:41, 72:113]
+        times = 3 / 64 * np.r_[0:41, 104:145]
         xs = _spy_degrees(monkeypatch)
         amps = evolve(H, psi0, lay.n_emitters, times)
         alpha = _alpha2(H)
         np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
-        assert len(xs) == 7 and xs[3] == pytest.approx(alpha * 1.5 / 2)
+        assert len(xs) == 5 and xs[2] == pytest.approx(alpha * 3 / 2)
         np.testing.assert_allclose(amps, expm_stepped(H, psi0, times),
                                    rtol=0, atol=1e-13)
 
@@ -236,7 +236,7 @@ class TestEvolve:
     def test_plan_from_alpha2_far_below_the_norm(self, monkeypatch):
         # B = [[a, K], [0, -a]]: B^2 = a^2 I, so alpha_2 = ||B^3||_1^(1/3)
         # = (a^2 (K + a))^(1/3) = 21.5 against ||B||_1 = K + a = 10001;
-        # chunks of 9 intervals, their interior samples read off the terms
+        # chunks of 18 intervals, their interior samples read off the terms
         a, K = 1.0, 1e4
         B = np.array([[a, K], [0.0, -a]])
         psi0 = np.array([0.6, 0.8j])
@@ -246,13 +246,13 @@ class TestEvolve:
         alpha = (a * a * (K + a)) ** (1 / 3)
         assert _alpha2(csr_array(B)) == pytest.approx(alpha, rel=1e-15)
         np.testing.assert_allclose(xs, _chunk_xs(alpha, times), rtol=1e-12)
-        assert len(xs) == 12
+        assert len(xs) == 6
         for t, got in zip(times, amps):
             want = expm(-1j * t * B) @ psi0
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5,
-                                   2.0])
+                                   2.0, 3.0, 4.0])
     def test_degree_is_the_least_that_meets_the_bound(self, x):
         def bound(m):
             return x ** (m + 1) / math.factorial(m + 1) * math.exp(x)
@@ -674,7 +674,8 @@ class TestMarkovLimit:
     """Emitters in consecutive cells obey i dc/dt = H_eff c in the Markov
     limit; the full dynamics approaches that as g^2, on either boundary.  At
     gamma = 2J the oracle is the closed-form solution of the directional
-    chain, at gamma = J the stepped exponential of the closed-form H_eff."""
+    chain, at gamma = J and 3J the stepped exponential of the closed-form
+    H_eff."""
 
     @staticmethod
     def _max_deviation(oracle, gamma, g, boundary):
@@ -698,6 +699,14 @@ class TestMarkovLimit:
             assert dev[0.2, b] / dev[0.1, b] == pytest.approx(4.0, rel=0.1)
         for g in (0.2, 0.1):  # irrespective of the boundary conditions
             assert dev[g, "periodic"] == pytest.approx(dev[g, "open"], rel=2e-4)
+
+    def test_deviation_scales_as_g_squared_above_the_exceptional_point(self):
+        # gamma = 3J on the open chain: from g = 0.2 to 0.1 the deviation
+        # falls by 5.1, so the g^2 law is checked from g = 0.1 down
+        dev = {g: self._max_deviation(_heff_populations, 3.0, g, "open")
+               for g in (0.1, 0.05)}
+        assert dev[0.1] < 1e-3
+        assert dev[0.1] / dev[0.05] == pytest.approx(4.0, rel=0.1)
 
 
 class TestFitDecayRate:
